@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig, make_policy
-from .metrics import RankTable, RunAggregate, aggregate_runs, cumulative_regret, rank_at
+from .metrics import (
+    RankTable,
+    RunAggregate,
+    aggregate_runs,
+    cumulative_regret,
+    cumulative_reward,
+    rank_at,
+)
 from .replay import (
     LoggedStream,
     ReplayConfig,
@@ -87,140 +94,82 @@ def _curve_key(policy: str, delta: float | None) -> str:
     return policy if delta is None else f"{policy}@delta={delta:g}"
 
 
-def _online_repetition(config: ExperimentConfig, rep: int):
-    """One online repetition: fresh model, fresh policies, full horizon."""
-    model = make_model(
-        config.family,
-        derive_rng(config.master_seed, rep, ROLE_MODEL),
-        config.action_range,
-        config.noise_var,
-    )
+def _repetition(config: ExperimentConfig, rep: int, stream: LoggedStream | None):
+    """One repetition: a fresh policy per (delta, policy), played online or
+    replayed over the log.
+
+    Online and offline repetitions draw a fresh model, and offline ones a
+    fresh log from it. Ingest replays the loaded log; its surface is
+    unknown, so its curves are cumulative reward rather than regret.
+    """
+    seed = config.master_seed
+    model = None
+    if config.mode != "ingest":
+        model = make_model(
+            config.family,
+            derive_rng(seed, rep, ROLE_MODEL),
+            config.action_range,
+            config.noise_var,
+        )
+    if config.mode == "offline":
+        stream = generate_logged_stream(
+            model, config.horizon, derive_rng(seed, rep, ROLE_STREAM)
+        )
+    sweep = [None] if config.mode == "online" else config.deltas
     curves = {}
     accepted = {}
     errors = []
-    for spec in config.policies:
-        try:
-            policy = make_policy(
-                spec,
-                config.action_range,
-                config.mode,
-                derive_rng(config.master_seed, rep, ROLE_POLICY_INIT, spec.name),
-            )
-            trace = simulate_online(
-                policy,
-                model,
-                config.horizon,
-                derive_rng(config.master_seed, rep, ROLE_PROPOSAL, spec.name),
-                derive_rng(config.master_seed, rep, ROLE_REWARD, spec.name),
-            )
-            key = _curve_key(spec.name, None)
-            curves[key] = cumulative_regret(trace, model, config.realized_regret)
-            accepted[key] = trace.T
-        except Exception as exc:  # noqa: BLE001 - batch runs must survive one bad fit
-            errors.append({"repetition": rep, "policy": spec.name, "error": str(exc)})
-    return curves, accepted, errors
-
-
-def _offline_repetition(config: ExperimentConfig, rep: int):
-    """One offline repetition: fresh model and stream, replay per (delta, policy)."""
-    model = make_model(
-        config.family,
-        derive_rng(config.master_seed, rep, ROLE_MODEL),
-        config.action_range,
-        config.noise_var,
-    )
-    stream = generate_logged_stream(
-        model, config.horizon, derive_rng(config.master_seed, rep, ROLE_STREAM)
-    )
-    curves = {}
-    accepted = {}
-    errors = []
-    for delta in config.deltas:
-        cfg = ReplayConfig(delta=delta)
+    for delta in sweep:
+        cfg = None if delta is None else ReplayConfig(delta=delta)
+        seed_delta = delta or 0.0  # online runs are seeded as delta 0
         for spec in config.policies:
             try:
                 policy = make_policy(
                     spec,
                     config.action_range,
                     config.mode,
-                    derive_rng(
-                        config.master_seed, rep, ROLE_POLICY_INIT, spec.name, delta
-                    ),
+                    derive_rng(seed, rep, ROLE_POLICY_INIT, spec.name, seed_delta),
                 )
-                trace = replay_cab(
-                    policy,
-                    stream,
-                    cfg,
-                    derive_rng(
-                        config.master_seed, rep, ROLE_PROPOSAL, spec.name, delta
-                    ),
+                proposal_rng = derive_rng(
+                    seed, rep, ROLE_PROPOSAL, spec.name, seed_delta
                 )
+                if cfg is None:
+                    trace = simulate_online(
+                        policy,
+                        model,
+                        config.horizon,
+                        proposal_rng,
+                        derive_rng(seed, rep, ROLE_REWARD, spec.name),
+                    )
+                else:
+                    trace = replay_cab(policy, stream, cfg, proposal_rng)
                 key = _curve_key(spec.name, delta)
-                curves[key] = cumulative_regret(trace, model, config.realized_regret)
+                curves[key] = (
+                    cumulative_reward(trace)
+                    if model is None
+                    else cumulative_regret(trace, model, config.realized_regret)
+                )
                 accepted[key] = trace.T
-            except Exception as exc:  # noqa: BLE001
-                errors.append(
-                    {
-                        "repetition": rep,
-                        "policy": spec.name,
-                        "delta": delta,
-                        "error": str(exc),
-                    }
-                )
-    return curves, accepted, errors
-
-
-def _ingest_repetition(config: ExperimentConfig, rep: int, stream: LoggedStream):
-    """One ingest repetition: fixed stream, fresh policy randomness, reward only."""
-    curves = {}
-    accepted = {}
-    errors = []
-    for delta in config.deltas:
-        cfg = ReplayConfig(delta=delta)
-        for spec in config.policies:
-            try:
-                policy = make_policy(
-                    spec,
-                    config.action_range,
-                    config.mode,
-                    derive_rng(
-                        config.master_seed, rep, ROLE_POLICY_INIT, spec.name, delta
-                    ),
-                )
-                trace = replay_cab(
-                    policy,
-                    stream,
-                    cfg,
-                    derive_rng(
-                        config.master_seed, rep, ROLE_PROPOSAL, spec.name, delta
-                    ),
-                )
-                key = _curve_key(spec.name, delta)
-                curves[key] = np.cumsum(np.asarray(trace.rewards)) if trace.T else np.empty(0)
-                accepted[key] = trace.T
-            except Exception as exc:  # noqa: BLE001
-                errors.append(
-                    {
-                        "repetition": rep,
-                        "policy": spec.name,
-                        "delta": delta,
-                        "error": str(exc),
-                    }
-                )
+            except Exception as exc:  # noqa: BLE001 - batch runs must survive one bad fit
+                error = {
+                    "repetition": rep,
+                    "policy": spec.name,
+                    "type": type(exc).__name__,
+                    "error": str(exc),
+                }
+                if delta is not None:
+                    error["delta"] = delta
+                errors.append(error)
     return curves, accepted, errors
 
 
 def _dispatch(args):
-    config, rep, mode, stream = args
-    if mode == "online":
-        return rep, _online_repetition(config, rep)
-    if mode == "offline":
-        return rep, _offline_repetition(config, rep)
-    return rep, _ingest_repetition(config, rep, stream)
+    config, rep, stream = args
+    return rep, _repetition(config, rep, stream)
 
 
 def _collect_repetitions(config: ExperimentConfig, workers: int, stream=None):
-    tasks = [(config, rep, config.mode, stream) for rep in range(config.repetitions)]
+    tasks = [(config, rep, stream) for rep in range(config.repetitions)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_dispatch, tasks, chunksize=8))

@@ -3,6 +3,11 @@
 Policies never mutate state in ``propose``; every accepted interaction is
 fed back through ``update`` exactly once. All randomness flows through the
 ``numpy.random.Generator`` handed to ``propose``.
+
+Each policy also has a ``replay`` hook for tolerance replay over a logged
+stream. The base class proposes once per logged event; the reference
+policies reach the same accepts without a ``propose`` call per event, by
+drawing their randomness in blocks and skipping rejected events in bulk.
 """
 
 from __future__ import annotations
@@ -79,6 +84,52 @@ def _cholesky_lower(matrix: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
             raise NotPositiveDefiniteError(str(exc)) from exc
 
 
+# Events per block of pre-drawn proposal randomness in ``replay``. Successive
+# block draws concatenate to the stream of per-event draws, so the size
+# bounds memory without changing any result.
+REPLAY_BLOCK = 4096
+
+
+def _replay_fixed(policy, proposal, actions, rewards, delta, start, indices, proposals):
+    """Accept every event from ``start`` on within delta of a proposal that
+    no update changes, updating the policy for each."""
+    hits = (np.flatnonzero(np.abs(actions[start:] - proposal) < delta) + start).tolist()
+    update = policy.update
+    for i in hits:
+        update(proposal, rewards[i])
+    indices += hits
+    proposals += [proposal] * len(hits)
+
+
+def _replay_uniform(policy, actions, rewards, delta, rng, limit, indices, proposals) -> int:
+    """Uniform proposals over the policy's range, one draw per event, until
+    ``limit`` accepts (no limit if None); return the events scanned.
+
+    The draws after the accept that reaches the limit are given back, so
+    the generator ends where a per-event loop stopping there leaves it.
+    """
+    lo, hi = policy.range.lo, policy.range.hi
+    update = policy.update
+    start = 0
+    while start < len(actions) and limit != 0:
+        block = actions[start : start + REPLAY_BLOCK]
+        state = rng.bit_generator.state
+        draws = rng.uniform(lo, hi, len(block))
+        hits = np.flatnonzero(np.abs(block - draws) < delta)[:limit]
+        if limit is not None:
+            limit -= len(hits)
+            if limit == 0:  # the scan ends at the last hit
+                block = block[: hits[-1] + 1]
+                rng.bit_generator.state = state
+                rng.uniform(lo, hi, len(block))
+        for j, proposal in zip(hits.tolist(), draws[hits].tolist()):
+            update(proposal, rewards[start + j])
+            indices.append(start + j)
+            proposals.append(proposal)
+        start += len(block)
+    return start
+
+
 def sample_mvn(mu: np.ndarray, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from N(mu, sigma) via the lower Cholesky factor."""
     L = _cholesky_lower(np.asarray(sigma, dtype=float))
@@ -100,6 +151,29 @@ class Policy:
     def update(self, action: float, reward: float) -> None:
         self.t += 1
 
+    def replay(
+        self, actions: np.ndarray, rewards: list, delta: float, rng: np.random.Generator
+    ) -> tuple[list[int], list[float]]:
+        """Tolerance replay over a logged stream; return the accepted stream
+        indices and proposals.
+
+        Event i is accepted when ``|actions[i] - proposal| < delta``, and an
+        accept calls ``self.update(proposal, rewards[i])``. This default
+        proposes once per event, rejected events included. An override must
+        give the same accepts, ``update`` calls and generator draws, so a
+        subclass that changes ``propose`` or ``update`` of a class with its
+        own ``replay`` must override ``replay`` too.
+        """
+        indices, proposals = [], []
+        propose, update = self.propose, self.update
+        for i, a in enumerate(actions.tolist()):
+            proposal = propose(rng)
+            if abs(a - proposal) < delta:
+                update(proposal, rewards[i])
+                indices.append(i)
+                proposals.append(proposal)
+        return indices, proposals
+
     def params(self) -> dict:
         return {}
 
@@ -111,6 +185,11 @@ class UniformRandomPolicy(Policy):
 
     def propose(self, rng):
         return float(rng.uniform(self.range.lo, self.range.hi))
+
+    def replay(self, actions, rewards, delta, rng):
+        indices, proposals = [], []
+        _replay_uniform(self, actions, rewards, delta, rng, None, indices, proposals)
+        return indices, proposals
 
 
 class ConstantPolicy(Policy):
@@ -124,6 +203,11 @@ class ConstantPolicy(Policy):
 
     def propose(self, rng):
         return self.action
+
+    def replay(self, actions, rewards, delta, rng):
+        indices, proposals = [], []
+        _replay_fixed(self, self.action, actions, rewards, delta, 0, indices, proposals)
+        return indices, proposals
 
     def params(self):
         return {"action": self.action}
@@ -161,6 +245,23 @@ class EpsilonFirstPolicy(Policy):
             self.exploit_action = argmax_quadratic(
                 self.fitted.b1, self.fitted.b2, self.range
             )
+
+    def replay(self, actions, rewards, delta, rng):
+        # Uniform while exploring; the fit fires inside the update of the
+        # accept that completes exploration, and its action is then fixed.
+        indices, proposals = [], []
+        start = 0
+        if self.t < self.explore_steps:
+            start = _replay_uniform(
+                self, actions, rewards, delta, rng,
+                self.explore_steps - self.t, indices, proposals,
+            )
+        if start < len(actions):
+            _replay_fixed(
+                self, self.exploit_action, actions, rewards, delta, start,
+                indices, proposals,
+            )
+        return indices, proposals
 
     def params(self):
         return {"explore_steps": self.explore_steps}
@@ -207,16 +308,46 @@ class ThompsonQuadraticPolicy(Policy):
         sigma = (sigma + sigma.T) / 2.0
         return sigma @ self.J, sigma
 
-    def propose(self, rng):
+    def _draw_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and lower Cholesky factor, cached until the next update."""
         if self._cached_draw_factors is None:
             mu, sigma = self.posterior()
             self._cached_draw_factors = (mu, _cholesky_lower(sigma))
-        mu, L = self._cached_draw_factors
-        theta = mu + L @ rng.standard_normal(3)
-        b1, b2 = float(theta[1]), float(theta[2])
+        return self._cached_draw_factors
+
+    def _action(self, theta: np.ndarray) -> float:
+        """The action played for one drawn coefficient vector."""
+        _, b1, b2 = theta.tolist()
         if not self.clamp_vertex and b2 < 0.0:
             return -b1 / (2.0 * b2)
         return argmax_quadratic(b1, b2, self.range)
+
+    def propose(self, rng):
+        mu, L = self._draw_factors()
+        return self._action(mu + L @ rng.standard_normal(3))
+
+    def replay(self, actions, rewards, delta, rng):
+        # The normals are drawn a block at a time, but each proposal is
+        # still one matrix-vector product: ``L.dot(z)`` gives the bits of
+        # ``L @ z`` at less call overhead, while a batched ``Z @ L.T`` can
+        # differ from it in the last bits.
+        indices, proposals = [], []
+        update, action = self.update, self._action
+        stale = True
+        for start in range(0, len(actions), REPLAY_BLOCK):
+            block = actions[start : start + REPLAY_BLOCK].tolist()
+            z = rng.standard_normal((len(block), 3))
+            for j, (a, zj) in enumerate(zip(block, z)):
+                if stale:
+                    mu, L = self._draw_factors()
+                    stale = False
+                proposal = action(mu + L.dot(zj))
+                if abs(a - proposal) < delta:
+                    update(proposal, rewards[start + j])
+                    indices.append(start + j)
+                    proposals.append(proposal)
+                    stale = True
+        return indices, proposals
 
     def update(self, action, reward):
         features = np.array([1.0, action, action * action])
@@ -285,6 +416,20 @@ class LockInFeedbackPolicy(Policy):
             self.a0 += self.gamma * (self.r_sum / self.window)
             self.r_sum = 0.0
         super().update(action, reward)
+
+    def replay(self, actions, rewards, delta, rng):
+        # The proposal moves only on update, so a rejected event costs one
+        # comparison.
+        indices, proposals = [], []
+        propose, update = self.propose, self.update
+        proposal = propose(rng)
+        for i, a in enumerate(actions.tolist()):
+            if abs(a - proposal) < delta:
+                update(proposal, rewards[i])
+                indices.append(i)
+                proposals.append(proposal)
+                proposal = propose(rng)
+        return indices, proposals
 
     def params(self):
         return {

@@ -58,20 +58,13 @@ class LoggedStream:
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Acceptance tolerance for continuous replay.
-
-    ``update_with_proposal`` is fixed true: accepted events always update
-    the policy at the proposed action, never the logged one.
-    """
+    """Acceptance tolerance for continuous replay."""
 
     delta: float
-    update_with_proposal: bool = True
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if not self.update_with_proposal:
-            raise ValueError("updating with the logged action is not supported")
 
 
 @dataclass
@@ -140,9 +133,15 @@ def replay_cab(
 ) -> Trace:
     """Tolerance-based replay for continuous action sets.
 
-    The proposal is recomputed for every stream event, so randomized
-    policies redraw on rejected events as well. Accepted events update the
-    policy with the proposed action and accumulate the logged reward.
+    The result is that of the per-event loop: for each logged event, in
+    order, draw a proposal with ``policy.propose(rng)``, rejected events
+    included, and accept the event when ``|action - proposal| < delta``.
+    An accepted event updates the policy with the proposal and the logged
+    reward, and the trace records the proposal. The policy's ``replay``
+    hook skips rejected events in bulk, but it makes the loop's generator
+    draws in the loop's order, so the trace, the policy's final state and
+    the generator's final state all equal the loop's, bit for bit. Only a
+    replay that an exception stops may leave the generator drawn ahead.
     """
     delta = cfg.delta
     if delta >= stream.range.width:
@@ -150,18 +149,9 @@ def replay_cab(
             "delta >= range width: every in-range event will be accepted",
             stacklevel=2,
         )
-    trace = Trace()
-    actions = stream.actions.tolist()
     rewards = stream.rewards.tolist()
-    propose = policy.propose
-    update = policy.update
-    append = trace.append
-    for i, a in enumerate(actions):
-        proposal = propose(rng)
-        if abs(a - proposal) < delta:
-            update(proposal, rewards[i])
-            append(i, proposal, rewards[i])
-    return trace
+    indices, proposals = policy.replay(stream.actions, rewards, delta, rng)
+    return Trace(indices, proposals, [rewards[i] for i in indices])
 
 
 def acceptance_probability(delta: float, action_range: ActionRange) -> float:

@@ -354,8 +354,9 @@ class TestRunExperiment:
 
     def test_failed_repetition_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "r"
-        # EF with explore_steps=3 can hit a rank-deficient fit when fewer
-        # than three distinct actions are accepted; force it with a tiny log.
+        # EF with explore_steps=3 fits its quadratic on three explored
+        # actions; on a 0.001-wide range their normal matrix is numerically
+        # singular, so the fit raises in repetitions that reach it.
         config = parse_config(
             write_config(
                 tmp_path,
@@ -364,9 +365,11 @@ class TestRunExperiment:
                 "family = parabola\n"
                 "repetitions = 30\n"
                 "horizon = 6\n"
-                "deltas = 0.05\n"
+                "deltas = 0.0005\n"
                 "t_eval = 1\n"
                 "master_seed = 1\n"
+                "range_lo = 0.0\n"
+                "range_hi = 0.001\n"
                 f"out = {out}\n"
                 "policies = UR, EF\n\n"
                 "[policy.EF]\nexplore_steps = 3\n",
@@ -375,8 +378,45 @@ class TestRunExperiment:
         result = run_experiment(config)
         # The run as a whole completes and writes artifacts either way.
         assert (out / "manifest.json").exists()
+        assert result.errors
         for err in result.errors:
             assert err["policy"] == "EF"
+            assert err["type"] == "RankDeficiencyError"
+        assert len(result.manifest["accepted_counts"]["UR@delta=0.0005"]) == 30
+
+    def test_online_error_entry_names_type(self, tmp_path):
+        # Online, EF always reaches its fit, and on a 0.001-wide range the
+        # fit of three explored actions is numerically singular.
+        out = tmp_path / "r"
+        config = parse_config(
+            write_config(
+                tmp_path,
+                "[experiment]\n"
+                "mode = online\n"
+                "family = parabola\n"
+                "repetitions = 3\n"
+                "horizon = 6\n"
+                "t_eval = 1\n"
+                "master_seed = 1\n"
+                "range_lo = 0.0\n"
+                "range_hi = 0.001\n"
+                f"out = {out}\n"
+                "policies = UR, EF\n\n"
+                "[policy.EF]\nexplore_steps = 3\n",
+            )
+        )
+        result = run_experiment(config)
+        assert result.errors == [
+            {
+                "repetition": rep,
+                "policy": "EF",
+                "type": "RankDeficiencyError",
+                "error": "normal matrix numerically singular",
+            }
+            for rep in range(3)
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"] == result.errors
 
 
 class TestCli:

@@ -1,11 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from cabeval.policies import ConstantPolicy, UniformRandomPolicy
+from cabeval import policies
+from cabeval.policies import (
+    ConstantPolicy,
+    EpsilonFirstPolicy,
+    LockInFeedbackPolicy,
+    Policy,
+    RankDeficiencyError,
+    ThompsonQuadraticPolicy,
+    UniformRandomPolicy,
+)
 from cabeval.replay import (
     LoggedStream,
     ReplayConfig,
     StreamFormatError,
+    Trace,
     acceptance_probability,
     generate_logged_stream,
     load_stream,
@@ -14,10 +26,73 @@ from cabeval.replay import (
     required_log_length,
     save_stream,
 )
-from cabeval.rewards import ActionRange, ParabolaModel
+from cabeval.rewards import ActionRange, ParabolaModel, make_bimodal, make_parabola
 
 UNIT = ActionRange(0.0, 1.0)
 PARABOLA = ParabolaModel(peak=0.5, scale=1.0, noise_var=0.0, range=UNIT)
+
+
+def reference_replay_cab(policy, stream, cfg, rng):
+    """The per-event loop ``replay_cab`` must reproduce: one ``propose`` per
+    logged event, rejected events included."""
+    delta = cfg.delta
+    if delta >= stream.range.width:
+        warnings.warn(
+            "delta >= range width: every in-range event will be accepted",
+            stacklevel=2,
+        )
+    trace = Trace()
+    actions = stream.actions.tolist()
+    rewards = stream.rewards.tolist()
+    for i, a in enumerate(actions):
+        proposal = policy.propose(rng)
+        if abs(a - proposal) < delta:
+            policy.update(proposal, rewards[i])
+            trace.append(i, proposal, rewards[i])
+    return trace
+
+
+def policy_state(policy):
+    """Every attribute of a policy, with arrays as lists so ``==`` is exact."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, tuple):
+            return tuple(plain(v) for v in value)
+        return value
+
+    return {k: plain(v) for k, v in vars(policy).items()}
+
+
+POLICY_MAKERS = {
+    "UR": lambda space: UniformRandomPolicy(space),
+    "EF": lambda space: EpsilonFirstPolicy(space, explore_steps=50),
+    "TBL": lambda space: ThompsonQuadraticPolicy(space),
+    "TBL-unclamped": lambda space: ThompsonQuadraticPolicy(space, clamp_vertex=False),
+    "LiF": lambda space: LockInFeedbackPolicy(space, a0=0.3),
+    "Constant": lambda space: ConstantPolicy(space, 0.6),
+}
+
+
+def assert_same_replay(make, stream, delta, seed=99):
+    """Replay fresh copies of one policy with ``replay_cab`` and with the
+    reference loop, each from an equal generator, and require equal traces,
+    policy states and generator states; return ``replay_cab``'s trace."""
+    outcomes = []
+    for replay in (replay_cab, reference_replay_cab):
+        policy, rng = make(stream.range), np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace = replay(policy, stream, ReplayConfig(delta), rng)
+        outcomes.append((trace, policy_state(policy), rng.bit_generator.state))
+    (got, state, rng_state), (expected, ref_state, ref_rng_state) = outcomes
+    assert got.stream_indices == expected.stream_indices
+    assert got.proposals == expected.proposals
+    assert got.rewards == expected.rewards
+    assert state == ref_state
+    assert rng_state == ref_rng_state
+    return got
 
 
 def make_stream(actions, rewards):
@@ -194,6 +269,101 @@ class TestReplayCab:
         assert trace.T == len(trace.records)
         assert trace.R_c == sum(trace.rewards)
         assert trace.stream_indices == sorted(set(trace.stream_indices))
+
+
+class TestReplayKernel:
+    """``replay_cab`` against the per-event reference loop, compared with ==."""
+
+    @pytest.mark.parametrize("block", [256, policies.REPLAY_BLOCK])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("surface", [make_parabola, make_bimodal])
+    @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
+    def test_matches_reference_loop(self, name, surface, seed, block, monkeypatch):
+        monkeypatch.setattr(policies, "REPLAY_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        stream = generate_logged_stream(surface(rng, UNIT, 0.01), 5000, rng)
+        for delta in (0.01, 0.05, 0.1, 0.2, 1.0):
+            assert_same_replay(POLICY_MAKERS[name], stream, delta, seed=[seed, 7])
+
+    def test_every_policy_has_its_own_hook(self):
+        for make in POLICY_MAKERS.values():
+            assert type(make(UNIT)).replay is not Policy.replay
+
+    # An unclamped TBL vertex may leave the range, so not every event matches.
+    @pytest.mark.parametrize("name", sorted(set(POLICY_MAKERS) - {"TBL-unclamped"}))
+    def test_delta_covering_range_warns_and_accepts_all(self, name):
+        stream = generate_logged_stream(PARABOLA, 300, np.random.default_rng(4))
+        with pytest.warns(UserWarning, match="every in-range event"):
+            trace = replay_cab(
+                POLICY_MAKERS[name](UNIT), stream, ReplayConfig(1.0),
+                np.random.default_rng(5),
+            )
+        assert trace.stream_indices == list(range(len(stream)))
+        assert_same_replay(POLICY_MAKERS[name], stream, 1.0)
+
+    def test_strict_inequality_at_exact_boundary_uniform(self):
+        # Logged actions placed exactly delta from UR's draws are rejected.
+        delta = 0.25
+        draws = np.random.default_rng(99).uniform(0.0, 1.0, 400)
+        actions = np.where(np.arange(400) % 2 == 0, draws + delta, draws + 0.01)
+        on_edge = np.abs(actions - draws) == delta
+        assert on_edge.sum() > 100
+        stream = LoggedStream(actions=actions, rewards=np.arange(400.0), range=UNIT)
+        trace = assert_same_replay(POLICY_MAKERS["UR"], stream, delta)
+        assert not set(np.flatnonzero(on_edge).tolist()) & set(trace.stream_indices)
+        assert trace.T == (~on_edge & (np.abs(actions - draws) < delta)).sum()
+
+    def test_strict_inequality_at_exact_boundary_fixed(self):
+        # 0.5 - 0.25 and 0.75 - 0.5 are exact in binary, so those events
+        # lie exactly delta from a proposal of 0.5 and are rejected.
+        actions = np.array([0.25, 0.75, 0.6, 0.5] * 100)
+        stream = LoggedStream(actions=actions, rewards=np.arange(400.0), range=UNIT)
+        trace = assert_same_replay(lambda space: ConstantPolicy(space, 0.5), stream, 0.25)
+        assert trace.stream_indices == [i for i in range(400) if i % 4 in (2, 3)]
+
+    @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
+    def test_out_of_range_logged_actions(self, name):
+        rng = np.random.default_rng(8)
+        actions = rng.uniform(-0.5, 1.5, 3000)
+        stream = LoggedStream(actions=actions, rewards=rng.normal(size=3000), range=UNIT)
+        for delta in (0.05, 0.2):
+            assert_same_replay(POLICY_MAKERS[name], stream, delta)
+
+    def test_unclamped_vertex_leaves_range(self):
+        rng = np.random.default_rng(9)
+        stream = LoggedStream(
+            actions=rng.uniform(-2.0, 3.0, 3000), rewards=rng.normal(size=3000),
+            range=UNIT,
+        )
+        trace = assert_same_replay(POLICY_MAKERS["TBL-unclamped"], stream, 0.1)
+        assert min(trace.proposals) < 0.0 or max(trace.proposals) > 1.0
+
+    def test_fit_error_raised_at_same_event(self):
+        # On a 0.001-wide range the three explored actions give a normal
+        # matrix too ill-conditioned to fit. Rewards are the event indices,
+        # so the history names the event at which the fit raised.
+        narrow = ActionRange(0.0, 0.001)
+        rng = np.random.default_rng(10)
+        stream = LoggedStream(
+            actions=rng.uniform(0.0, 0.001, 500), rewards=np.arange(500.0),
+            range=narrow,
+        )
+        raised = []
+        for replay in (replay_cab, reference_replay_cab):
+            policy = EpsilonFirstPolicy(narrow, explore_steps=3)
+            proposal_rng = np.random.default_rng(11)
+            with pytest.raises(RankDeficiencyError):
+                replay(policy, stream, ReplayConfig(0.0002), proposal_rng)
+            raised.append((policy_state(policy), proposal_rng.bit_generator.state))
+        assert raised[0] == raised[1]
+        history = raised[0][0]["history"]
+        assert len(history) == 3 and history[-1][1] > 3
+
+    @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
+    def test_log_with_no_accepts(self, name):
+        stream = make_stream(np.full(5000, 1e9), np.ones(5000))
+        trace = assert_same_replay(POLICY_MAKERS[name], stream, 0.1)
+        assert trace.T == 0
 
 
 class TestSizing:
