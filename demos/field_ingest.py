@@ -25,7 +25,7 @@ from cabeval import (
     ExperimentConfig,
     generate_logged_stream,
     required_log_length,
-    run_ingest,
+    run_experiment,
     save_stream,
 )
 from cabeval.config import default_policy_specs
@@ -61,7 +61,7 @@ def main() -> None:
         t_eval=400,
         policies=default_policy_specs(),
     )
-    result = run_ingest(config)
+    result = run_experiment(config)
 
     counts = result.manifest["accepted_counts"]
     print(f"mean accepted events per repetition ({args.reps} reps):")

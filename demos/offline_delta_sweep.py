@@ -10,6 +10,7 @@ blur what the policy is credited with. Run with:
 """
 
 import argparse
+import zlib
 
 import numpy as np
 
@@ -43,17 +44,18 @@ def main() -> None:
     for delta in (0.05, 0.1, 0.2):
         expected = acceptance_probability(delta, action_range) * len(stream)
         for kind in ("UR", "EF", "TBL", "LiF"):
+            key = zlib.crc32(kind.encode())
             policy = make_policy(
                 PolicySpec(kind, kind),
                 action_range,
                 "offline",
-                np.random.default_rng([args.seed, hash(kind) % 2**16]),
+                np.random.default_rng([args.seed, key]),
             )
             trace = replay_cab(
                 policy,
                 stream,
                 ReplayConfig(delta),
-                np.random.default_rng([args.seed, 1, hash(kind) % 2**16]),
+                np.random.default_rng([args.seed, 1, key]),
             )
             regret = cumulative_regret(trace, model)
             final = regret[-1] if trace.T else float("nan")

@@ -10,7 +10,7 @@ policies at the evaluation step. Run with:
 import argparse
 import tempfile
 
-from cabeval import ExperimentConfig, run_online
+from cabeval import ExperimentConfig, run_experiment
 from cabeval.config import default_policy_specs
 
 
@@ -33,7 +33,7 @@ def main() -> None:
         t_eval=t_eval,
         policies=default_policy_specs(),
     )
-    result = run_online(config)
+    result = run_experiment(config)
 
     print(f"{args.family} family, {args.reps} reps, horizon {args.horizon}")
     print(f"mean cumulative regret at t={t_eval}:")

@@ -1,14 +1,7 @@
 """Offline replay evaluation for continuous-armed bandit policies."""
 
 from .config import ExperimentConfig, PolicySpec, make_policy, parse_config
-from .harness import (
-    derive_rng,
-    run_experiment,
-    run_ingest,
-    run_offline,
-    run_online,
-    simulate_online,
-)
+from .harness import derive_rng, run_experiment, simulate_online
 from .metrics import (
     RankTable,
     RunAggregate,
@@ -27,10 +20,8 @@ from .policies import (
     UniformRandomPolicy,
     argmax_quadratic,
     least_squares_quadratic,
-    sample_mvn,
 )
 from .replay import (
-    LoggedEvent,
     LoggedStream,
     ReplayConfig,
     Trace,
@@ -47,7 +38,6 @@ from .rewards import (
     BimodalQuarticModel,
     ParabolaModel,
     make_bimodal,
-    make_bimodal_from_heights,
     make_model,
     make_parabola,
 )

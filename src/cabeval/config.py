@@ -28,23 +28,58 @@ class ConfigError(ValueError):
 
 MODES = ("online", "offline", "ingest")
 FAMILIES = ("parabola", "bimodal")
-POLICY_KINDS = ("UR", "EF", "TBL", "LiF")
 
-# Exploration length for the epsilon-first policy depends on the setting:
-# long for simulation studies, short for field-style ingest runs.
-EF_EXPLORE_DEFAULT = {"online": 2000, "offline": 2000, "ingest": 100}
+# Field-style ingest runs explore for far fewer steps than the
+# simulation studies, whose length is EF's own default.
+INGEST_EXPLORE_STEPS = 100
 
 _EXPERIMENT_KEYS = {
     "mode", "family", "stream", "repetitions", "horizon", "deltas",
     "master_seed", "t_eval", "noise_var", "range_lo", "range_hi", "out",
     "policies", "realized_regret",
 }
-_POLICY_KEYS = {
-    "UR": set(),
-    "EF": {"explore_steps"},
-    "TBL": {"sigma2", "clamp_vertex", "j0", "p0_diag"},
-    "LiF": {"a0", "amplitude", "window", "gamma", "omega"},
+
+
+def _parse_bool(raw) -> bool:
+    lowered = str(raw).strip().lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(x) for x in raw.split(",")]
+
+
+# Per policy kind: its class, and for each config key the constructor
+# argument it sets and the parser of its value. A key a section leaves
+# out takes the constructor's default.
+_POLICIES = {
+    "UR": (UniformRandomPolicy, {}),
+    "EF": (EpsilonFirstPolicy, {"explore_steps": ("explore_steps", int)}),
+    "TBL": (
+        ThompsonQuadraticPolicy,
+        {
+            "sigma2": ("sigma2", float),
+            "clamp_vertex": ("clamp_vertex", _parse_bool),
+            "j0": ("J", _floats),
+            "p0_diag": ("P", lambda raw: np.diag(_floats(raw))),
+        },
+    ),
+    "LiF": (
+        LockInFeedbackPolicy,
+        {
+            "a0": ("a0", float),
+            "amplitude": ("amplitude", float),
+            "window": ("window", int),
+            "gamma": ("gamma", float),
+            "omega": ("omega", float),
+        },
+    ),
 }
+POLICY_KINDS = tuple(_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -92,19 +127,18 @@ class ExperimentConfig:
             raise ConfigError("noise_var must be non-negative")
         if not self.policies:
             raise ConfigError("at least one policy is required")
+        # Build each policy once, so a bad value fails here and not in
+        # every repetition. No generator: numpy imports its random module
+        # on first use, which costs set-up time and memory.
+        for spec in self.policies:
+            try:
+                make_policy(spec, self.action_range, self.mode, None)
+            except ConfigError as exc:
+                raise ConfigError(f"policy {spec.name!r}: {exc}") from None
 
 
 def default_policy_specs() -> tuple[PolicySpec, ...]:
     return tuple(PolicySpec(kind, kind) for kind in POLICY_KINDS)
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def _get(section, key: str, cast, default):
@@ -113,8 +147,6 @@ def _get(section, key: str, cast, default):
     raw = section[key]
     try:
         return cast(raw)
-    except ConfigError:
-        raise
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r}") from None
 
@@ -158,20 +190,8 @@ def parse_config(path) -> ExperimentConfig:
         kind = name
         if section_name in sections:
             seen_sections.add(section_name)
-            section = parser[section_name]
-            kind = section.get("kind", name).strip()
-            allowed = _POLICY_KEYS.get(kind)
-            if allowed is None:
-                raise ConfigError(f"{section_name}: unknown policy kind {kind!r}")
-            unknown = set(section.keys()) - allowed - {"kind"}
-            if unknown:
-                raise ConfigError(f"{section_name}: unknown key(s) {sorted(unknown)}")
-            for key in section:
-                if key == "kind":
-                    continue
-                params[key] = section[key]
-        if kind not in POLICY_KINDS:
-            raise ConfigError(f"policy {name!r}: unknown kind {kind!r}")
+            params = dict(parser[section_name])
+            kind = params.pop("kind", name).strip()
         specs.append(PolicySpec(name=name, kind=kind, params=params))
 
     stray = sections - seen_sections
@@ -191,9 +211,7 @@ def parse_config(path) -> ExperimentConfig:
         noise_var=_get(exp, "noise_var", float, 0.01),
         action_range=action_range,
         policies=tuple(specs),
-        realized_regret=_get(
-            exp, "realized_regret", lambda raw: _parse_bool(raw, "realized_regret"), False
-        ),
+        realized_regret=_get(exp, "realized_regret", _parse_bool, False),
     )
 
 
@@ -201,52 +219,33 @@ def make_policy(
     spec: PolicySpec,
     action_range: ActionRange,
     mode: str,
-    init_rng: np.random.Generator,
+    init_rng: np.random.Generator | None,
 ) -> Policy:
-    """Instantiate a policy from its spec, applying per-mode defaults.
+    """Instantiate a policy from its spec.
 
-    ``init_rng`` supplies construction-time randomness (the lock-in
-    policy's starting center when none is configured).
+    Only the keys the spec sets reach the constructor. Two values depend
+    on the run: ingest mode shortens EF's exploration, and LiF's starting
+    center is drawn from ``init_rng`` when ``a0`` is not set (with no
+    generator, the constructor's default center is kept).
     """
-    p = spec.params
-    if spec.kind == "UR":
-        return UniformRandomPolicy(action_range)
-    if spec.kind == "EF":
-        n = int(p.get("explore_steps", EF_EXPLORE_DEFAULT[mode]))
-        return EpsilonFirstPolicy(action_range, explore_steps=n)
-    if spec.kind == "TBL":
-        J = (
-            [float(x) for x in p["j0"].split(",")]
-            if "j0" in p
-            else None
-        )
-        P = (
-            np.diag([float(x) for x in p["p0_diag"].split(",")])
-            if "p0_diag" in p
-            else None
-        )
-        clamp = p.get("clamp_vertex", "true")
-        if isinstance(clamp, str):
-            clamp = _parse_bool(clamp, "clamp_vertex")
-        return ThompsonQuadraticPolicy(
-            action_range,
-            J=J,
-            P=P,
-            sigma2=float(p.get("sigma2", 1.0)),
-            clamp_vertex=clamp,
-        )
-    if spec.kind == "LiF":
-        a0 = (
-            float(p["a0"])
-            if "a0" in p
-            else float(init_rng.uniform(action_range.lo, action_range.hi))
-        )
-        return LockInFeedbackPolicy(
-            action_range,
-            a0=a0,
-            amplitude=float(p.get("amplitude", 0.05)),
-            window=int(p.get("window", 50)),
-            gamma=float(p.get("gamma", 0.4)),
-            omega=float(p.get("omega", 1.0)),
-        )
-    raise ConfigError(f"unknown policy kind {spec.kind!r}")
+    if spec.kind not in _POLICIES:
+        raise ConfigError(f"unknown kind {spec.kind!r}")
+    cls, parsers = _POLICIES[spec.kind]
+    kwargs = {}
+    for key, raw in spec.params.items():
+        if key not in parsers:
+            raise ConfigError(f"unknown key {key!r}")
+        arg, parse = parsers[key]
+        try:
+            kwargs[arg] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {raw!r}") from None
+    if spec.kind == "EF" and mode == "ingest":
+        kwargs.setdefault("explore_steps", INGEST_EXPLORE_STEPS)
+    if spec.kind == "LiF" and "a0" not in kwargs and init_rng is not None:
+        kwargs["a0"] = float(init_rng.uniform(action_range.lo, action_range.hi))
+    try:
+        return cls(action_range, **kwargs)
+    except ValueError as exc:
+        given = ", ".join(f"{key} = {raw}" for key, raw in spec.params.items())
+        raise ConfigError(f"{exc} (given {given})") from None

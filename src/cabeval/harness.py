@@ -300,21 +300,3 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         out_dir=config.out_dir,
         errors=errors,
     )
-
-
-def run_online(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    if config.mode != "online":
-        raise ValueError("config mode must be 'online'")
-    return run_experiment(config, workers)
-
-
-def run_offline(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    if config.mode != "offline":
-        raise ValueError("config mode must be 'offline'")
-    return run_experiment(config, workers)
-
-
-def run_ingest(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    if config.mode != "ingest":
-        raise ValueError("config mode must be 'ingest'")
-    return run_experiment(config, workers)

@@ -53,10 +53,6 @@ class RunAggregate:
     n: np.ndarray
     run_count: int
 
-    def band(self, t_index: int) -> tuple[float, float]:
-        half = CONFIDENCE_Z * self.se[t_index]
-        return float(self.mean[t_index] - half), float(self.mean[t_index] + half)
-
 
 def aggregate_runs(curves) -> RunAggregate:
     """Aggregate per-step curves of possibly different lengths.
@@ -101,12 +97,6 @@ class RankTable:
     metric: str
     entries: tuple[RankEntry, ...]
     unavailable: tuple[str, ...]
-
-    def tie_groups(self) -> dict[int, list[str]]:
-        groups: dict[int, list[str]] = {}
-        for e in self.entries:
-            groups.setdefault(e.tie_group, []).append(e.policy)
-        return groups
 
     def to_rows(self) -> list[list[str]]:
         rows = [["policy", "metric_value", "rank", "tie_group"]]

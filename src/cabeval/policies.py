@@ -130,12 +130,6 @@ def _replay_uniform(policy, actions, rewards, delta, rng, limit, indices, propos
     return start
 
 
-def sample_mvn(mu: np.ndarray, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(mu, sigma) via the lower Cholesky factor."""
-    L = _cholesky_lower(np.asarray(sigma, dtype=float))
-    return np.asarray(mu, dtype=float) + L @ rng.standard_normal(len(mu))
-
-
 class Policy:
     """Base lifecycle: ``propose(rng)`` reads state, ``update`` advances it."""
 
@@ -174,9 +168,6 @@ class Policy:
                 proposals.append(proposal)
         return indices, proposals
 
-    def params(self) -> dict:
-        return {}
-
 
 class UniformRandomPolicy(Policy):
     """Draws every action uniformly over the range; the naive benchmark."""
@@ -208,9 +199,6 @@ class ConstantPolicy(Policy):
         indices, proposals = [], []
         _replay_fixed(self, self.action, actions, rewards, delta, 0, indices, proposals)
         return indices, proposals
-
-    def params(self):
-        return {"action": self.action}
 
 
 class EpsilonFirstPolicy(Policy):
@@ -263,9 +251,6 @@ class EpsilonFirstPolicy(Policy):
             )
         return indices, proposals
 
-    def params(self):
-        return {"explore_steps": self.explore_steps}
-
 
 class ThompsonQuadraticPolicy(Policy):
     """Thompson sampling over a Bayesian quadratic regression of the reward.
@@ -297,6 +282,11 @@ class ThompsonQuadraticPolicy(Policy):
             if P is None
             else np.array(P, dtype=float)
         )
+        if self.J.shape != (3,) or self.P.shape != (3, 3):
+            raise ValueError(
+                f"J must have 3 entries and P must be 3x3, "
+                f"got shapes {self.J.shape} and {self.P.shape}"
+            )
         self.sigma2 = sigma2
         self.clamp_vertex = clamp_vertex
         self._cached_draw_factors: tuple[np.ndarray, np.ndarray] | None = None
@@ -355,14 +345,6 @@ class ThompsonQuadraticPolicy(Policy):
         self.P += np.outer(features, features) / self.sigma2
         self._cached_draw_factors = None
         super().update(action, reward)
-
-    def params(self):
-        return {
-            "J0": list(self.DEFAULT_J),
-            "P0_diag": list(self.DEFAULT_P_DIAG),
-            "sigma2": self.sigma2,
-            "clamp_vertex": self.clamp_vertex,
-        }
 
 
 class LockInFeedbackPolicy(Policy):
@@ -430,12 +412,3 @@ class LockInFeedbackPolicy(Policy):
                 proposals.append(proposal)
                 proposal = propose(rng)
         return indices, proposals
-
-    def params(self):
-        return {
-            "a0": self.a0,
-            "amplitude": self.amplitude,
-            "window": self.window,
-            "gamma": self.gamma,
-            "omega": self.omega,
-        }

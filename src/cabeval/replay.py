@@ -25,13 +25,6 @@ class StreamFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class LoggedEvent:
-    index: int
-    action: float
-    reward: float
-
-
-@dataclass(frozen=True)
 class LoggedStream:
     """Ordered log of (action, reward) pairs collected under uniform actions."""
 
@@ -47,13 +40,6 @@ class LoggedStream:
 
     def __len__(self) -> int:
         return len(self.actions)
-
-    @property
-    def events(self) -> list[LoggedEvent]:
-        return [
-            LoggedEvent(i, float(a), float(r))
-            for i, (a, r) in enumerate(zip(self.actions, self.rewards))
-        ]
 
 
 @dataclass(frozen=True)
@@ -82,10 +68,6 @@ class Trace:
     @property
     def R_c(self) -> float:
         return sum(self.rewards)
-
-    @property
-    def records(self) -> list[tuple[int, float, float]]:
-        return list(zip(self.stream_indices, self.proposals, self.rewards))
 
     def append(self, index: int, proposal: float, reward: float) -> None:
         self.stream_indices.append(index)

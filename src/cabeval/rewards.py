@@ -18,14 +18,6 @@ DEFAULT_NOISE_VAR = 0.01
 GRID_POINTS = 10_001
 
 
-class DegenerateModelError(ValueError):
-    """Raised when the requested stationary-point geometry cannot be solved."""
-
-
-class ResampleExhaustedError(RuntimeError):
-    """Raised when repeated peak-height draws never satisfy the bimodal shape."""
-
-
 @dataclass(frozen=True)
 class ActionRange:
     """Closed action interval [lo, hi]."""
@@ -100,6 +92,7 @@ class BimodalQuarticModel:
     noise_var: float
     range: ActionRange
     _coeffs: tuple = field(init=False, repr=False, compare=False)
+    _optimum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.range.lo < self.m1 < self.m0 < self.m2 < self.range.hi):
@@ -116,6 +109,14 @@ class BimodalQuarticModel:
         coeffs = quartic.copy()
         coeffs[-1] += const
         object.__setattr__(self, "_coeffs", tuple(float(x) for x in coeffs))
+        a_star = self.m1 if self.mean(self.m1) >= self.mean(self.m2) else self.m2
+        # Guard the analytic answer against a dense grid scan.
+        grid = self.range.grid()
+        values = self.mean(grid)
+        j = int(np.argmax(values))
+        if values[j] > self.mean(a_star):
+            a_star = float(grid[j])
+        object.__setattr__(self, "_optimum", (a_star, float(self.mean(a_star))))
 
     def mean(self, a):
         if isinstance(a, np.ndarray):
@@ -132,14 +133,7 @@ class BimodalQuarticModel:
         return m + rng.normal(0.0, math.sqrt(self.noise_var), size=np.shape(a) or None)
 
     def optimum(self) -> tuple[float, float]:
-        a_star = self.m1 if self.mean(self.m1) >= self.mean(self.m2) else self.m2
-        # Guard the analytic answer against a dense grid scan.
-        grid = self.range.grid()
-        values = self.mean(grid)
-        j = int(np.argmax(values))
-        if values[j] > self.mean(a_star):
-            a_star = float(grid[j])
-        return a_star, float(self.mean(a_star))
+        return self._optimum
 
     def describe(self) -> dict:
         return {
@@ -168,23 +162,6 @@ def make_parabola(
     return ParabolaModel(peak=peak, scale=scale, noise_var=noise_var, range=action_range)
 
 
-def _antiderivative_at(x: float, m1: float, m0: float, m2: float, lo: float) -> float:
-    """Q(x) with Q' = (x-m1)(x-m0)(x-m2) and Q(lo) = 0."""
-    quartic = np.polyint(np.poly([m1, m0, m2]))
-    return float(np.polyval(quartic, x) - np.polyval(quartic, lo))
-
-
-def _draw_stationary_points(
-    rng: np.random.Generator, action_range: ActionRange
-) -> tuple[float, float, float]:
-    lo, hi = action_range.lo, action_range.hi
-    w = action_range.width
-    m1 = float(rng.uniform(lo + 0.05, lo + 0.45 * w))
-    m2 = float(rng.uniform(lo + 0.55 * w, hi - 0.05))
-    m0 = float(rng.uniform(m1 + 0.05, m2 - 0.05))
-    return m1, m0, m2
-
-
 def make_bimodal(
     rng: np.random.Generator,
     action_range: ActionRange = ActionRange(0.0, 1.0),
@@ -200,7 +177,10 @@ def make_bimodal(
     the two peak locations and their height gap still vary per draw.
     """
     lo, hi = action_range.lo, action_range.hi
-    m1, m0, m2 = _draw_stationary_points(rng, action_range)
+    w = action_range.width
+    m1 = float(rng.uniform(lo + 0.05, lo + 0.45 * w))
+    m2 = float(rng.uniform(lo + 0.55 * w, hi - 0.05))
+    m0 = float(rng.uniform(m1 + 0.05, m2 - 0.05))
 
     quartic = np.polyint(np.poly([m1, m0, m2]))
     probe = np.concatenate([np.linspace(lo, hi, 2001), [m1, m0, m2]])
@@ -218,47 +198,6 @@ def make_bimodal(
     c = peak_height - k * q_top
     return BimodalQuarticModel(
         m1=m1, m0=m0, m2=m2, k=k, c=c, noise_var=noise_var, range=action_range
-    )
-
-
-def make_bimodal_from_heights(
-    rng: np.random.Generator,
-    action_range: ActionRange = ActionRange(0.0, 1.0),
-    noise_var: float = DEFAULT_NOISE_VAR,
-    max_attempts: int = 100,
-) -> BimodalQuarticModel:
-    """Draw a bimodal quartic by solving for two target peak heights.
-
-    Target heights h1, h2 ~ Unif(0.5, 1.0) fix the derivative scale k and
-    offset c through a 2x2 linear solve. If a draw makes the stationary
-    points minima the heights are swapped, and degenerate equal-height
-    draws are retried. Nearly-symmetric geometries make the solve singular
-    and the resulting k unbounded, so ``make_bimodal`` is preferred for
-    simulation studies.
-    """
-    lo, hi = action_range.lo, action_range.hi
-    m1, m0, m2 = _draw_stationary_points(rng, action_range)
-
-    q1 = _antiderivative_at(m1, m1, m0, m2, lo)
-    q2 = _antiderivative_at(m2, m1, m0, m2, lo)
-    if abs(q1 - q2) < 1e-12:
-        raise DegenerateModelError(
-            f"singular height solve: Q(m1)={q1!r} too close to Q(m2)={q2!r}"
-        )
-
-    for _ in range(max_attempts):
-        h1 = float(rng.uniform(0.5, 1.0))
-        h2 = float(rng.uniform(0.5, 1.0))
-        for ha, hb in ((h1, h2), (h2, h1)):
-            k = (ha - hb) / (q1 - q2)
-            if k * (m1 - m0) * (m1 - m2) < 0:  # mean''(m1) < 0: genuine maxima
-                c = ha - k * q1
-                return BimodalQuarticModel(
-                    m1=m1, m0=m0, m2=m2, k=k, c=c,
-                    noise_var=noise_var, range=action_range,
-                )
-    raise ResampleExhaustedError(
-        f"no valid peak heights after {max_attempts} attempts"
     )
 
 

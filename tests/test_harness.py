@@ -66,6 +66,22 @@ out = {out}
 explore_steps = 3
 """
 
+# One bad value per line; each used to pass validation and then fail in
+# every repetition.
+BAD_POLICY_VALUES = [
+    ("LiF", "gamma = abc"),
+    ("LiF", "window = 0"),
+    ("TBL", "j0 = 0.0, 0.05"),
+    ("TBL", "p0_diag = 1.0, 2.0"),
+]
+
+
+def bad_policy_config(tmp_path, policy, line):
+    return write_config(
+        tmp_path,
+        f"[experiment]\nmode = online\nfamily = parabola\n\n[policy.{policy}]\n{line}\n",
+    )
+
 
 class TestParseConfig:
     def test_defaults_fill_in(self, tmp_path):
@@ -140,6 +156,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="stride"):
             parse_config(path)
 
+    @pytest.mark.parametrize("policy, line", BAD_POLICY_VALUES)
+    def test_bad_policy_value_names_policy_and_key(self, tmp_path, policy, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"policy '{policy}'.*\b{key}\b"):
+            parse_config(bad_policy_config(tmp_path, policy, line))
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.ini"))
@@ -170,6 +192,27 @@ class TestMakePolicy:
         rng = np.random.default_rng(0)
         spec = PolicySpec("EF", "EF")
         assert make_policy(spec, UNIT, "ingest", rng).explore_steps == 100
+
+    def test_set_keys_reach_constructor(self):
+        rng = np.random.default_rng(0)
+        tbl = make_policy(
+            PolicySpec(
+                "TBL",
+                "TBL",
+                {"j0": "1, 2, 3", "p0_diag": "4, 5, 6", "sigma2": "0.5", "clamp_vertex": "no"},
+            ),
+            UNIT,
+            "online",
+            rng,
+        )
+        assert tbl.J.tolist() == [1.0, 2.0, 3.0]
+        assert np.array_equal(tbl.P, np.diag([4.0, 5.0, 6.0]))
+        assert tbl.sigma2 == 0.5 and tbl.clamp_vertex is False
+        spec = PolicySpec("LiF", "LiF", {"a0": "0.3", "window": "25"})
+        lif = make_policy(spec, UNIT, "online", rng)
+        assert lif.a0 == 0.3 and lif.window == 25 and lif.gamma == 0.4
+        spec = PolicySpec("EF", "EF", {"explore_steps": "50"})
+        assert make_policy(spec, UNIT, "ingest", rng).explore_steps == 50
 
     def test_lif_center_drawn_from_init_rng(self):
         spec = PolicySpec("LiF", "LiF")
@@ -444,6 +487,13 @@ class TestCli:
         )
         assert cli_main(["validate", "--config", config_path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, line", BAD_POLICY_VALUES)
+    def test_validate_bad_policy_value_exit_2(self, tmp_path, capsys, policy, line):
+        config_path = bad_policy_config(tmp_path, policy, line)
+        assert cli_main(["validate", "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"policy '{policy}'" in err
 
     def test_sizing_prints_required_length(self, capsys):
         assert cli_main(["sizing", "--t-prime", "500", "--delta", "0.1"]) == 0

@@ -108,12 +108,6 @@ class TestAggregateRuns:
         # se estimates 1/sqrt(1000) ~ 0.0316.
         assert 0.029 < agg.se[0] < 0.034
 
-    def test_band_uses_95_multiplier(self):
-        agg = aggregate_runs([[0.0], [2.0]])
-        lo, hi = agg.band(0)
-        assert lo == pytest.approx(1.0 - 1.96)
-        assert hi == pytest.approx(1.0 + 1.96)
-
 
 def tight_agg(value, se=0.001, n=10, length=5):
     mean = np.full(length, value)
@@ -143,9 +137,11 @@ class TestRankAt:
             "c": tight_agg(9.0, se=0.5),
         }
         table = rank_at(aggs, 5, "regret")
-        groups = table.tie_groups()
-        assert groups[0] == ["a", "b"]
-        assert groups[1] == ["c"]
+        assert [(e.policy, e.tie_group) for e in table.entries] == [
+            ("a", 0),
+            ("b", 0),
+            ("c", 1),
+        ]
 
     def test_tie_groups_chain_transitively(self):
         aggs = {
@@ -156,7 +152,19 @@ class TestRankAt:
         # a-b overlap and b-c overlap, so all three chain together even
         # though a and c alone would not.
         table = rank_at(aggs, 5, "regret")
-        assert table.tie_groups() == {0: ["a", "b", "c"]}
+        assert [(e.policy, e.tie_group) for e in table.entries] == [
+            ("a", 0),
+            ("b", 0),
+            ("c", 0),
+        ]
+
+    def test_band_uses_95_multiplier(self):
+        # Bands of half-width 1.96 * se = 1.96 meet when the means are at
+        # most 3.92 apart.
+        for gap, groups in ((3.91, [0, 0]), (3.93, [0, 1])):
+            aggs = {"a": tight_agg(1.0, se=1.0), "b": tight_agg(1.0 + gap, se=1.0)}
+            table = rank_at(aggs, 5)
+            assert [e.tie_group for e in table.entries] == groups
 
     def test_short_or_thin_runs_reported_unavailable(self):
         short = tight_agg(1.0, length=3)

@@ -15,7 +15,6 @@ from cabeval.policies import (
     UniformRandomPolicy,
     argmax_quadratic,
     least_squares_quadratic,
-    sample_mvn,
 )
 from cabeval.harness import simulate_online
 from cabeval.rewards import ActionRange, ParabolaModel
@@ -98,21 +97,33 @@ class TestArgmaxQuadratic:
 
 
 class TestSampleMvn:
+    """TBL's posterior draw, mu + L @ z with the factors of ``_draw_factors``."""
+
+    @staticmethod
+    def tbl(mu, sigma):
+        P = np.linalg.inv(sigma)
+        return ThompsonQuadraticPolicy(UNIT, J=P @ mu, P=P)
+
     def test_zero_draw_returns_mean(self):
-        mu = np.array([1.0, 2.0, 3.0])
-        out = sample_mvn(mu, np.eye(3), ZeroNormalRng())
-        assert np.array_equal(out, mu)
+        # The mean's quadratic 2a - 2a^2 peaks at a = 0.5.
+        mu = np.array([1.0, 2.0, -2.0])
+        p = self.tbl(mu, np.eye(3))
+        mean, _ = p._draw_factors()
+        assert np.array_equal(mean, mu)
+        assert p.propose(ZeroNormalRng()) == 0.5
 
     def test_non_pd_sigma_raises(self):
+        p = ThompsonQuadraticPolicy(UNIT, P=-np.eye(3))
         with pytest.raises(NotPositiveDefiniteError):
-            sample_mvn(np.zeros(3), -np.eye(3), np.random.default_rng(0))
+            p._draw_factors()
 
     def test_moments_of_many_draws(self):
         mu = np.array([0.5, -1.0, 2.0])
         A = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.3]])
         sigma = A @ A.T
+        mean, L = self.tbl(mu, sigma)._draw_factors()
         rng = np.random.default_rng(101)
-        draws = np.array([sample_mvn(mu, sigma, rng) for _ in range(50_000)])
+        draws = np.array([mean + L @ rng.standard_normal(3) for _ in range(50_000)])
         tol = 5 * np.sqrt(np.diag(sigma) / 50_000)
         assert np.all(np.abs(draws.mean(axis=0) - mu) < tol)
         emp = np.cov(draws.T)

@@ -115,10 +115,8 @@ class ForcedUniformRng:
 class TestGenerateStream:
     def test_single_forced_event(self):
         stream = generate_logged_stream(PARABOLA, 1, ForcedUniformRng([0.3]))
-        (event,) = stream.events
-        assert event.index == 0
-        assert event.action == 0.3
-        assert event.reward == pytest.approx(-0.04)
+        assert stream.actions.tolist() == [0.3]
+        assert stream.rewards.tolist() == [pytest.approx(-0.04)]
 
     def test_action_mean_near_half(self):
         model = ParabolaModel(peak=0.5, scale=1.0, noise_var=0.01, range=UNIT)
@@ -266,7 +264,7 @@ class TestReplayCab:
         rng = np.random.default_rng(11)
         stream = generate_logged_stream(PARABOLA, 1000, rng)
         trace = replay_cab(UniformRandomPolicy(UNIT), stream, ReplayConfig(0.1), rng)
-        assert trace.T == len(trace.records)
+        assert trace.T == len(trace.stream_indices) == len(trace.proposals)
         assert trace.R_c == sum(trace.rewards)
         assert trace.stream_indices == sorted(set(trace.stream_indices))
 

@@ -4,11 +4,8 @@ import pytest
 from cabeval.rewards import (
     ActionRange,
     BimodalQuarticModel,
-    DegenerateModelError,
     ParabolaModel,
-    _antiderivative_at,
     make_bimodal,
-    make_bimodal_from_heights,
     make_model,
     make_parabola,
 )
@@ -71,41 +68,18 @@ class TestParabola:
 
 class TestBimodal:
     def test_symmetric_geometry_solved_analytically(self):
-        # For symmetric stationary points any negative k keeps both peaks at
-        # equal height; pick one and place the peaks at 1 via the offset.
+        # With u = x - 1/2 the derivative is k*(u^3 - u/16), so the
+        # antiderivative from lo is k*(u^4/4 - u^2/32 - 1/128). Both maxima
+        # (u = -1/4 and u = 1/4) sit at c - 9k/1024: any negative k keeps
+        # them level, and k = -64, c = 7/16 puts them at 1.
         m1, m0, m2 = 0.25, 0.5, 0.75
-        k = -64.0
-        q1 = _antiderivative_at(m1, m1, m0, m2, 0.0)
-        q2 = _antiderivative_at(m2, m1, m0, m2, 0.0)
-        assert q1 == pytest.approx(q2, abs=1e-12)
         model = BimodalQuarticModel(
-            m1=m1, m0=m0, m2=m2, k=k, c=1.0 - k * q1, noise_var=0.0, range=UNIT
+            m1=m1, m0=m0, m2=m2, k=-64.0, c=0.4375, noise_var=0.0, range=UNIT
         )
         assert model.mean(m1) == pytest.approx(1.0, abs=1e-9)
         assert model.mean(m2) == pytest.approx(1.0, abs=1e-9)
+        assert model.mean(m0) == pytest.approx(1.0 - 64.0 / 1024, abs=1e-9)
         assert fd_second(model.mean, m1) < 0
-
-    def test_symmetric_geometry_degenerate_for_height_solve(self):
-        with pytest.raises(DegenerateModelError):
-            make_bimodal_from_heights(SequenceRng([0.25, 0.75, 0.5]), UNIT, 0.0)
-
-    def test_height_solve_hits_targets(self):
-        # Oracle: solve mean(m1)=h1, mean(m2)=h2 for (k, c) directly.
-        rng = SequenceRng([0.2, 0.8, 0.45, 0.9, 0.6])
-        model = make_bimodal_from_heights(rng, UNIT, 0.0)
-        q1 = _antiderivative_at(0.2, 0.2, 0.45, 0.8, 0.0)
-        q2 = _antiderivative_at(0.8, 0.2, 0.45, 0.8, 0.0)
-        # This geometry forces the swapped assignment (larger height at m2):
-        # the direct one would make the stationary points minima.
-        k, c = np.linalg.solve([[q1, 1.0], [q2, 1.0]], [0.6, 0.9])
-        assert k < 0
-        assert model.k == pytest.approx(k)
-        assert model.c == pytest.approx(c)
-        assert model.mean(0.2) == pytest.approx(0.6, abs=1e-9)
-        assert model.mean(0.8) == pytest.approx(0.9, abs=1e-9)
-        a_star, r_star = model.optimum()
-        assert abs(a_star - 0.8) < 1e-3
-        assert r_star == pytest.approx(0.9, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_stationary_derivatives_vanish(self, seed):
@@ -135,11 +109,6 @@ class TestBimodal:
             second_m1 = model.k * (model.m1 - model.m0) * (model.m1 - model.m2)
             second_m2 = model.k * (model.m2 - model.m0) * (model.m2 - model.m1)
             assert second_m1 < 0 and second_m2 < 0
-
-    def test_height_solve_thousand_seeds_no_exhaustion(self):
-        for seed in range(1000):
-            model = make_bimodal_from_heights(np.random.default_rng(seed), UNIT, 0.01)
-            assert model.k < 0
 
 
 class TestOptimum:
