@@ -28,7 +28,6 @@ from cabeval import (
     run_experiment,
     save_stream,
 )
-from cabeval.config import default_policy_specs
 from cabeval.rewards import ParabolaModel
 
 
@@ -59,7 +58,6 @@ def main() -> None:
         stream_path=stream_path,
         deltas=(0.1,),
         t_eval=400,
-        policies=default_policy_specs(),
     )
     result = run_experiment(config)
 

@@ -11,7 +11,6 @@ import argparse
 import tempfile
 
 from cabeval import ExperimentConfig, run_experiment
-from cabeval.config import default_policy_specs
 
 
 def main() -> None:
@@ -31,7 +30,6 @@ def main() -> None:
         master_seed=args.seed,
         out_dir=tempfile.mkdtemp(prefix="online_demo_"),
         t_eval=t_eval,
-        policies=default_policy_specs(),
     )
     result = run_experiment(config)
 

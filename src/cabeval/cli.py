@@ -6,7 +6,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import ConfigError, parse_config
+from .config import MODES, ConfigError, parse_config
 from .harness import run_experiment
 from .replay import required_log_length
 from .rewards import ActionRange
@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute an experiment from a config file")
     run_p.add_argument("--config", required=True)
-    run_p.add_argument("--mode", choices=["online", "offline", "ingest"])
+    run_p.add_argument("--mode", choices=MODES)
     run_p.add_argument("--seed", type=int, help="override master_seed")
     run_p.add_argument("--out", help="override output directory")
     run_p.add_argument("--workers", type=int, default=1)

@@ -2,13 +2,15 @@
 
 Config files are INI-style: one ``[experiment]`` section plus optional
 ``[policy.<NAME>]`` sections. Unknown sections or keys are rejected so
-typos fail loudly. Absent keys fall back to the simulation-study defaults.
+typos fail loudly. Absent keys take the defaults of the ``ExperimentConfig``
+fields and the policy constructors.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,12 +35,6 @@ FAMILIES = ("parabola", "bimodal")
 # simulation studies, whose length is EF's own default.
 INGEST_EXPLORE_STEPS = 100
 
-_EXPERIMENT_KEYS = {
-    "mode", "family", "stream", "repetitions", "horizon", "deltas",
-    "master_seed", "t_eval", "noise_var", "range_lo", "range_hi", "out",
-    "policies", "realized_regret",
-}
-
 
 def _parse_bool(raw) -> bool:
     lowered = str(raw).strip().lower()
@@ -51,6 +47,11 @@ def _parse_bool(raw) -> bool:
 
 def _floats(raw: str) -> list[float]:
     return [float(x) for x in raw.split(",")]
+
+
+def _items(raw: str) -> list[str]:
+    """The non-empty entries of a comma-separated list."""
+    return [x.strip() for x in raw.split(",") if x.strip()]
 
 
 # Per policy kind: its class, and for each config key the constructor
@@ -81,6 +82,27 @@ _POLICIES = {
 }
 POLICY_KINDS = tuple(_POLICIES)
 
+# The [experiment] schema: for each key, the ExperimentConfig field it sets
+# and the parser of its value. A key a file leaves out keeps the field's
+# default. A dotted name sets one end of the action range, and the policy
+# names pick the [policy.<NAME>] sections that make the specs.
+_EXPERIMENT = {
+    "mode": ("mode", str),
+    "family": ("family", str),
+    "stream": ("stream_path", str),
+    "repetitions": ("repetitions", int),
+    "horizon": ("horizon", int),
+    "deltas": ("deltas", lambda raw: tuple(map(float, _items(raw)))),
+    "master_seed": ("master_seed", int),
+    "t_eval": ("t_eval", int),
+    "noise_var": ("noise_var", float),
+    "range_lo": ("action_range.lo", float),
+    "range_hi": ("action_range.hi", float),
+    "out": ("out_dir", str),
+    "policies": ("policies", _items),
+    "realized_regret": ("realized_regret", _parse_bool),
+}
+
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -91,18 +113,21 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str
-    repetitions: int
-    horizon: int
-    master_seed: int
-    out_dir: str
+    """One experiment's settings. A field's default is the one default of the
+    [experiment] key that sets it."""
+
+    mode: str = "online"
+    repetitions: int = 100
+    horizon: int = 10_000
+    master_seed: int = 0
+    out_dir: str = "results"
     family: str | None = None
     stream_path: str | None = None
     deltas: tuple[float, ...] = ()
     t_eval: int = 1750
     noise_var: float = 0.01
     action_range: ActionRange = ActionRange(0.0, 1.0)
-    policies: tuple[PolicySpec, ...] = ()
+    policies: tuple[PolicySpec, ...] = tuple(PolicySpec(kind, kind) for kind in POLICY_KINDS)
     realized_regret: bool = False
 
     def __post_init__(self) -> None:
@@ -115,16 +140,16 @@ class ExperimentConfig:
         if self.mode in ("offline", "ingest") and not self.deltas:
             raise ConfigError(f"{self.mode} mode requires a non-empty deltas list")
         for d in self.deltas:
-            if d <= 0:
-                raise ConfigError(f"deltas must be positive, got {d}")
+            if not 0 < d < math.inf:
+                raise ConfigError(f"deltas must be positive and finite, got {d}")
         if self.mode in ("online", "offline") and self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode == "ingest" and not self.stream_path:
             raise ConfigError("ingest mode requires a stream path")
         if self.t_eval < 1:
             raise ConfigError("t_eval must be positive")
-        if self.noise_var < 0:
-            raise ConfigError("noise_var must be non-negative")
+        if not 0 <= self.noise_var < math.inf:
+            raise ConfigError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         if not self.policies:
             raise ConfigError("at least one policy is required")
         # Build each policy once, so a bad value fails here and not in
@@ -136,23 +161,23 @@ class ExperimentConfig:
             except ConfigError as exc:
                 raise ConfigError(f"policy {spec.name!r}: {exc}") from None
 
-
-def default_policy_specs() -> tuple[PolicySpec, ...]:
-    return tuple(PolicySpec(kind, kind) for kind in POLICY_KINDS)
-
-
-def _get(section, key: str, cast, default):
-    if key not in section:
-        return default
-    raw = section[key]
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r}") from None
+    def echo(self) -> dict:
+        """The settings as ``manifest.json`` records them: one entry per
+        [experiment] key, but none for the output directory, which only names
+        where the run was written, one ``range`` pair for the two range ends,
+        and each policy as its spec."""
+        echo = {
+            key: getattr(self, name)
+            for key, (name, _) in _EXPERIMENT.items()
+            if name != "out_dir" and "." not in name
+        }
+        echo["range"] = [self.action_range.lo, self.action_range.hi]
+        echo["policies"] = [asdict(spec) for spec in self.policies]
+        return echo
 
 
 def parse_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -161,58 +186,46 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("missing [experiment] section")
 
     exp = parser["experiment"]
-    unknown = set(exp.keys()) - _EXPERIMENT_KEYS
+    unknown = exp.keys() - _EXPERIMENT.keys()
     if unknown:
         raise ConfigError(f"unknown experiment key(s): {sorted(unknown)}")
 
-    mode = _get(exp, "mode", str, "online").strip()
-    lo = _get(exp, "range_lo", float, 0.0)
-    hi = _get(exp, "range_hi", float, 1.0)
-    try:
-        action_range = ActionRange(lo, hi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    deltas_raw = _get(exp, "deltas", str, "")
-    deltas = tuple(float(x) for x in deltas_raw.split(",") if x.strip()) if deltas_raw else ()
-
-    policy_names = [
-        name.strip()
-        for name in _get(exp, "policies", str, ",".join(POLICY_KINDS)).split(",")
-        if name.strip()
-    ]
+    kwargs, ends = {}, {}
+    for key, raw in exp.items():
+        name, parse = _EXPERIMENT[key]
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {raw!r}") from None
+        field_name, _, end = name.partition(".")
+        if end:
+            ends[end] = value
+        else:
+            kwargs[field_name] = value
+    if ends:
+        try:
+            kwargs["action_range"] = replace(ExperimentConfig.action_range, **ends)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     specs = []
     seen_sections = {"experiment"}
-    for name in policy_names:
+    for name in kwargs.get("policies", [s.name for s in ExperimentConfig.policies]):
         section_name = f"policy.{name}"
         params: dict = {}
         kind = name
         if section_name in sections:
             seen_sections.add(section_name)
             params = dict(parser[section_name])
-            kind = params.pop("kind", name).strip()
+            kind = params.pop("kind", name)
         specs.append(PolicySpec(name=name, kind=kind, params=params))
+    kwargs["policies"] = tuple(specs)
 
     stray = sections - seen_sections
     if stray:
         raise ConfigError(f"unknown section(s): {sorted(stray)}")
 
-    return ExperimentConfig(
-        mode=mode,
-        repetitions=_get(exp, "repetitions", int, 100),
-        horizon=_get(exp, "horizon", int, 10_000),
-        master_seed=_get(exp, "master_seed", int, 0),
-        out_dir=_get(exp, "out", str, "results"),
-        family=_get(exp, "family", str, None),
-        stream_path=_get(exp, "stream", str, None),
-        deltas=deltas,
-        t_eval=_get(exp, "t_eval", int, 1750),
-        noise_var=_get(exp, "noise_var", float, 0.01),
-        action_range=action_range,
-        policies=tuple(specs),
-        realized_regret=_get(exp, "realized_regret", _parse_bool, False),
-    )
+    return ExperimentConfig(**kwargs)
 
 
 def make_policy(

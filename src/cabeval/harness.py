@@ -17,6 +17,7 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -94,9 +95,11 @@ def _curve_key(policy: str, delta: float | None) -> str:
     return policy if delta is None else f"{policy}@delta={delta:g}"
 
 
-def _repetition(config: ExperimentConfig, rep: int, stream: LoggedStream | None):
-    """One repetition: a fresh policy per (delta, policy), played online or
-    replayed over the log.
+def _repetition(
+    config: ExperimentConfig, sweep: list, stream: LoggedStream | None, rep: int
+):
+    """One repetition: a fresh policy per (delta, policy) of the sweep,
+    played online (delta None) or replayed over the log.
 
     Online and offline repetitions draw a fresh model, and offline ones a
     fresh log from it. Ingest replays the loaded log; its surface is
@@ -115,7 +118,6 @@ def _repetition(config: ExperimentConfig, rep: int, stream: LoggedStream | None)
         stream = generate_logged_stream(
             model, config.horizon, derive_rng(seed, rep, ROLE_STREAM)
         )
-    sweep = [None] if config.mode == "online" else config.deltas
     curves = {}
     accepted = {}
     errors = []
@@ -163,24 +165,19 @@ def _repetition(config: ExperimentConfig, rep: int, stream: LoggedStream | None)
     return curves, accepted, errors
 
 
-def _dispatch(args):
-    config, rep, stream = args
-    return rep, _repetition(config, rep, stream)
-
-
-def _collect_repetitions(config: ExperimentConfig, workers: int, stream=None):
-    tasks = [(config, rep, stream) for rep in range(config.repetitions)]
+def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, stream):
+    # Both maps return results in repetition order, whatever the scheduling.
+    run = partial(_repetition, config, sweep, stream)
+    reps = range(config.repetitions)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_dispatch, tasks, chunksize=8))
+            results = list(pool.map(run, reps, chunksize=8))
     else:
-        results = dict(map(_dispatch, tasks))
-    # Fixed iteration order regardless of scheduling.
+        results = map(run, reps)
     per_key_curves: dict[str, list] = {}
     per_key_T: dict[str, list] = {}
     errors: list = []
-    for rep in range(config.repetitions):
-        curves, accepted, errs = results[rep]
+    for curves, accepted, errs in results:
         for key, curve in curves.items():
             per_key_curves.setdefault(key, []).append(curve)
             per_key_T.setdefault(key, []).append(accepted[key])
@@ -209,26 +206,6 @@ def _write_rank_csv(path, table: RankTable) -> None:
         csv.writer(fh).writerows(table.to_rows())
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "mode": config.mode,
-        "family": config.family,
-        "stream": config.stream_path,
-        "repetitions": config.repetitions,
-        "horizon": config.horizon,
-        "deltas": list(config.deltas),
-        "master_seed": config.master_seed,
-        "t_eval": config.t_eval,
-        "noise_var": config.noise_var,
-        "range": [config.action_range.lo, config.action_range.hi],
-        "realized_regret": config.realized_regret,
-        "policies": [
-            {"name": s.name, "kind": s.kind, "params": dict(s.params)}
-            for s in config.policies
-        ],
-    }
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Execute the configured experiment and write all artifacts to out_dir."""
     os.makedirs(config.out_dir, exist_ok=True)
@@ -248,16 +225,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
                 stacklevel=2,
             )
 
-    per_key_curves, per_key_T, errors = _collect_repetitions(config, workers, stream)
+    sweep: list[float | None] = [None] if config.mode == "online" else list(config.deltas)
+    per_key_curves, per_key_T, errors = _collect_repetitions(config, sweep, workers, stream)
 
     metric = "reward" if config.mode == "ingest" else "regret"
-    deltas: list[float | None] = (
-        [None] if config.mode == "online" else list(config.deltas)
-    )
-
     aggregates: dict[tuple[str, float | None], RunAggregate] = {}
     rank_tables: dict[float | None, RankTable] = {}
-    for delta in deltas:
+    for delta in sweep:
+        suffix = "" if delta is None else f"_delta{delta:g}"
         named = {}
         for spec in config.policies:
             key = _curve_key(spec.name, delta)
@@ -268,7 +243,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
                 agg = RunAggregate(np.empty(0), np.empty(0), np.empty(0, dtype=int), 0)
             aggregates[(spec.name, delta)] = agg
             named[spec.name] = agg
-            suffix = "" if delta is None else f"_delta{delta:g}"
             _write_aggregate_csv(
                 os.path.join(
                     config.out_dir,
@@ -278,13 +252,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
             )
         table = rank_at(named, config.t_eval, metric)
         rank_tables[delta] = table
-        suffix = "" if delta is None else f"_delta{delta:g}"
         _write_rank_csv(
             os.path.join(config.out_dir, f"rank_{config.mode}{suffix}.csv"), table
         )
 
     manifest = {
-        "config": _config_echo(config),
+        "config": config.echo(),
         "accepted_counts": {k: per_key_T[k] for k in sorted(per_key_T)},
         "errors": errors,
         "metric": metric,

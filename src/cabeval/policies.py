@@ -287,6 +287,7 @@ class ThompsonQuadraticPolicy(Policy):
                 f"J must have 3 entries and P must be 3x3, "
                 f"got shapes {self.J.shape} and {self.P.shape}"
             )
+        _cholesky_lower(self.P)  # a prior that is not positive definite fails here
         self.sigma2 = sigma2
         self.clamp_vertex = clamp_vertex
         self._cached_draw_factors: tuple[np.ndarray, np.ndarray] | None = None
@@ -384,20 +385,18 @@ class LockInFeedbackPolicy(Policy):
         self.window = window
         self.gamma = gamma
         self.omega = omega
-        self.t_local = 0
         self.r_sum = 0.0
 
     def propose(self, rng):
         # Deliberately unclamped: the oscillation may leave [lo, hi].
-        return self.a0 + self.amplitude * math.cos(self.omega * (self.t_local + 1))
+        return self.a0 + self.amplitude * math.cos(self.omega * (self.t + 1))
 
     def update(self, action, reward):
-        self.t_local += 1
-        self.r_sum += reward * math.cos(self.omega * self.t_local)
-        if self.t_local % self.window == 0:
+        super().update(action, reward)
+        self.r_sum += reward * math.cos(self.omega * self.t)
+        if self.t % self.window == 0:
             self.a0 += self.gamma * (self.r_sum / self.window)
             self.r_sum = 0.0
-        super().update(action, reward)
 
     def replay(self, actions, rewards, delta, rng):
         # The proposal moves only on update, so a rejected event costs one

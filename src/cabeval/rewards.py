@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_NOISE_VAR = 0.01
-
 GRID_POINTS = 10_001
 
 
@@ -26,7 +24,7 @@ class ActionRange:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
+        if not (-math.inf < self.lo < self.hi < math.inf):
             raise ValueError(f"invalid action range [{self.lo}, {self.hi}]")
 
     @property
@@ -153,8 +151,8 @@ RewardModel = ParabolaModel | BimodalQuarticModel
 
 def make_parabola(
     rng: np.random.Generator,
-    action_range: ActionRange = ActionRange(0.0, 1.0),
-    noise_var: float = DEFAULT_NOISE_VAR,
+    action_range: ActionRange,
+    noise_var: float,
     scale: float = 1.0,
 ) -> ParabolaModel:
     """Draw a parabola whose peak is uniform over the action range."""
@@ -164,8 +162,8 @@ def make_parabola(
 
 def make_bimodal(
     rng: np.random.Generator,
-    action_range: ActionRange = ActionRange(0.0, 1.0),
-    noise_var: float = DEFAULT_NOISE_VAR,
+    action_range: ActionRange,
+    noise_var: float,
 ) -> BimodalQuarticModel:
     """Draw a bimodal quartic with random maxima locations and heights.
 
@@ -204,8 +202,8 @@ def make_bimodal(
 def make_model(
     family: str,
     rng: np.random.Generator,
-    action_range: ActionRange = ActionRange(0.0, 1.0),
-    noise_var: float = DEFAULT_NOISE_VAR,
+    action_range: ActionRange,
+    noise_var: float,
 ) -> RewardModel:
     if family == "parabola":
         return make_parabola(rng, action_range, noise_var)

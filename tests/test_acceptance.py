@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cabeval.config import ExperimentConfig, PolicySpec, default_policy_specs
+from cabeval.config import ExperimentConfig, PolicySpec
 from cabeval.harness import run_experiment
 from cabeval.policies import ConstantPolicy, ThompsonQuadraticPolicy
 from cabeval.replay import (
@@ -45,7 +45,6 @@ def study_config(out_dir, **overrides) -> ExperimentConfig:
         out_dir=str(out_dir),
         t_eval=T_EVAL,
         noise_var=0.01,
-        policies=default_policy_specs(),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -326,7 +325,6 @@ def test_criterion_09_field_workflow_shape(tmp_path):
         stream_path=str(stream_path),
         deltas=(0.1,),
         t_eval=400,
-        policies=default_policy_specs(),
     )
     result = run_experiment(config)
 

@@ -9,7 +9,6 @@ from cabeval.config import (
     ConfigError,
     ExperimentConfig,
     PolicySpec,
-    default_policy_specs,
     make_policy,
     parse_config,
 )
@@ -73,6 +72,19 @@ BAD_POLICY_VALUES = [
     ("LiF", "window = 0"),
     ("TBL", "j0 = 0.0, 0.05"),
     ("TBL", "p0_diag = 1.0, 2.0"),
+    ("TBL", "p0_diag = -1, 2, 5"),
+]
+
+# One bad [experiment] line each, added to an online parabola config.
+# Each exits 2; the non-finite ones used to pass validation and then fail
+# in every repetition or in the model draw.
+BAD_EXPERIMENT_VALUES = [
+    "mode = offline",  # no deltas
+    "deltas = 0.1, abc",
+    "deltas = nan",
+    "deltas = inf",
+    "noise_var = nan",
+    "range_hi = inf",
 ]
 
 
@@ -89,6 +101,7 @@ class TestParseConfig:
             tmp_path, "[experiment]\nmode = online\nfamily = parabola\n"
         )
         config = parse_config(path)
+        assert config == ExperimentConfig(family="parabola")
         assert config.repetitions == 100
         assert config.horizon == 10_000
         assert config.t_eval == 1750
@@ -172,7 +185,7 @@ class TestMakePolicy:
         rng = np.random.default_rng(0)
         policies = {
             s.kind: make_policy(s, UNIT, "online", rng)
-            for s in default_policy_specs()
+            for s in ExperimentConfig(family="parabola").policies
         }
         assert isinstance(policies["UR"], UniformRandomPolicy)
         ef = policies["EF"]
@@ -322,11 +335,48 @@ class TestRunExperiment:
 
     def test_manifest_echoes_config(self, tmp_path):
         out = tmp_path / "r"
-        config = parse_config(write_config(tmp_path, ONLINE_SMALL.format(out=out)))
+        settings = {
+            "mode": "online",
+            "family": "parabola",
+            "stream": "field.csv",
+            "repetitions": "2",
+            "horizon": "30",
+            "deltas": "0.1, 0.2",
+            "master_seed": "7",
+            "t_eval": "10",
+            "noise_var": "0.02",
+            "range_lo": "0.5",
+            "range_hi": "2.0",
+            "out": str(out),
+            "policies": "UR, EF",
+            "realized_regret": "yes",
+        }
+        body = "".join(f"{key} = {value}\n" for key, value in settings.items())
+        config = parse_config(
+            write_config(
+                tmp_path, f"[experiment]\n{body}\n[policy.EF]\nexplore_steps = 10\n"
+            )
+        )
         run_experiment(config)
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["master_seed"] == 7
-        assert manifest["config"]["mode"] == "online"
+        # Every key set but ``out``, with the two range ends as one pair.
+        assert manifest["config"] == {
+            "mode": "online",
+            "family": "parabola",
+            "stream": "field.csv",
+            "repetitions": 2,
+            "horizon": 30,
+            "deltas": [0.1, 0.2],
+            "master_seed": 7,
+            "t_eval": 10,
+            "noise_var": 0.02,
+            "range": [0.5, 2.0],
+            "policies": [
+                {"name": "UR", "kind": "UR", "params": {}},
+                {"name": "EF", "kind": "EF", "params": {"explore_steps": "10"}},
+            ],
+            "realized_regret": True,
+        }
         assert manifest["metric"] == "regret"
         assert manifest["errors"] == []
 
@@ -481,12 +531,20 @@ class TestCli:
         assert cli_main(["validate", "--config", config_path]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_validate_bad_config_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", BAD_EXPERIMENT_VALUES)
+    def test_validate_bad_config_exit_2(self, tmp_path, capsys, line):
         config_path = write_config(
-            tmp_path, "[experiment]\nmode = offline\nfamily = parabola\n"
+            tmp_path, f"[experiment]\nfamily = parabola\n{line}\n"
         )
         assert cli_main(["validate", "--config", config_path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_validate_readme_config(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        config_path = write_config(tmp_path, example)
+        assert cli_main(["validate", "--config", config_path]) == 0
+        assert "ok (offline mode, 4 policies)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("policy, line", BAD_POLICY_VALUES)
     def test_validate_bad_policy_value_exit_2(self, tmp_path, capsys, policy, line):

@@ -113,7 +113,11 @@ class TestSampleMvn:
         assert p.propose(ZeroNormalRng()) == 0.5
 
     def test_non_pd_sigma_raises(self):
-        p = ThompsonQuadraticPolicy(UNIT, P=-np.eye(3))
+        # A non-PD prior fails at construction; one reached later, at the draw.
+        with pytest.raises(NotPositiveDefiniteError):
+            ThompsonQuadraticPolicy(UNIT, P=-np.eye(3))
+        p = ThompsonQuadraticPolicy(UNIT)
+        p.P = -np.eye(3)
         with pytest.raises(NotPositiveDefiniteError):
             p._draw_factors()
 
