@@ -44,9 +44,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "sizing":
-        lo, hi = args.range
-        length = required_log_length(args.t_prime, args.delta, ActionRange(lo, hi))
-        print(length)
+        try:
+            print(required_log_length(args.t_prime, args.delta, ActionRange(*args.range)))
+        except ValueError as exc:
+            print(f"sizing error: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     try:

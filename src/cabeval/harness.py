@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -66,18 +68,23 @@ def derive_rng(
 def simulate_online(
     policy, model: RewardModel, horizon: int, proposal_rng, reward_rng
 ) -> Trace:
-    """Run a policy directly against the model for ``horizon`` interactions."""
-    trace = Trace()
-    propose = policy.propose
-    update = policy.update
-    sample = model.sample
-    append = trace.append
-    for t in range(horizon):
-        action = propose(proposal_rng)
-        reward = float(sample(action, reward_rng))
-        update(action, reward)
-        append(t, action, reward)
-    return trace
+    """Run a policy directly against the model for ``horizon`` interactions.
+
+    Online is a replay that accepts every finite proposal: the policy's
+    ``replay`` hook runs over ``horizon`` zero actions at delta = inf, and
+    its reward function samples the model at each proposal with
+    ``reward_rng``. A run cut short by a non-finite proposal raises.
+    """
+    rewards = []
+
+    def reward(i, proposal):
+        rewards.append(float(model.sample(proposal, reward_rng)))
+        return rewards[-1]
+
+    indices, proposals = policy.replay(np.zeros(horizon), reward, math.inf, proposal_rng)
+    if len(indices) < horizon:
+        raise ValueError(f"{horizon - len(indices)} of {horizon} online proposals not finite")
+    return Trace(indices, proposals, rewards)
 
 
 @dataclass
@@ -189,16 +196,9 @@ def _write_aggregate_csv(path, agg: RunAggregate) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "mean", "se", "n"])
-        for t in range(len(agg.mean)):
-            se = agg.se[t]
-            writer.writerow(
-                [
-                    t + 1,
-                    repr(float(agg.mean[t])),
-                    "nan" if np.isnan(se) else repr(float(se)),
-                    int(agg.n[t]),
-                ]
-            )
+        # csv writes floats with str(), which equals repr() and gives "nan" for NaN.
+        t = range(1, len(agg.n) + 1)
+        writer.writerows(zip(t, agg.mean.tolist(), agg.se.tolist(), agg.n.tolist()))
 
 
 def _write_rank_csv(path, table: RankTable) -> None:
@@ -217,8 +217,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
             min(config.deltas), config.action_range
         ) * len(stream)
         if expected_T < config.t_eval:
-            import warnings
-
             warnings.warn(
                 f"expected accepted count {expected_T:.0f} is below "
                 f"t_eval={config.t_eval}; rank table may be all n/a",

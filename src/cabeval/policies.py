@@ -4,10 +4,10 @@ Policies never mutate state in ``propose``; every accepted interaction is
 fed back through ``update`` exactly once. All randomness flows through the
 ``numpy.random.Generator`` handed to ``propose``.
 
-Each policy also has a ``replay`` hook for tolerance replay over a logged
-stream. The base class proposes once per logged event; the reference
-policies reach the same accepts without a ``propose`` call per event, by
-drawing their randomness in blocks and skipping rejected events in bulk.
+Each policy is played through its ``replay`` hook: offline over a logged
+stream, and online as a replay that accepts every finite proposal. The
+base class proposes once per event; the reference policies skip rejected
+events in bulk, drawing their randomness in blocks.
 """
 
 from __future__ import annotations
@@ -90,18 +90,18 @@ def _cholesky_lower(matrix: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
 REPLAY_BLOCK = 4096
 
 
-def _replay_fixed(policy, proposal, actions, rewards, delta, start, indices, proposals):
+def _replay_fixed(policy, proposal, actions, reward, delta, start, indices, proposals):
     """Accept every event from ``start`` on within delta of a proposal that
     no update changes, updating the policy for each."""
     hits = (np.flatnonzero(np.abs(actions[start:] - proposal) < delta) + start).tolist()
     update = policy.update
     for i in hits:
-        update(proposal, rewards[i])
+        update(proposal, reward(i, proposal))
     indices += hits
     proposals += [proposal] * len(hits)
 
 
-def _replay_uniform(policy, actions, rewards, delta, rng, limit, indices, proposals) -> int:
+def _replay_uniform(policy, actions, reward, delta, rng, limit, indices, proposals) -> int:
     """Uniform proposals over the policy's range, one draw per event, until
     ``limit`` accepts (no limit if None); return the events scanned.
 
@@ -123,7 +123,7 @@ def _replay_uniform(policy, actions, rewards, delta, rng, limit, indices, propos
                 rng.bit_generator.state = state
                 rng.uniform(lo, hi, len(block))
         for j, proposal in zip(hits.tolist(), draws[hits].tolist()):
-            update(proposal, rewards[start + j])
+            update(proposal, reward(start + j, proposal))
             indices.append(start + j)
             proposals.append(proposal)
         start += len(block)
@@ -146,24 +146,24 @@ class Policy:
         self.t += 1
 
     def replay(
-        self, actions: np.ndarray, rewards: list, delta: float, rng: np.random.Generator
+        self, actions: np.ndarray, reward, delta: float, rng: np.random.Generator
     ) -> tuple[list[int], list[float]]:
-        """Tolerance replay over a logged stream; return the accepted stream
-        indices and proposals.
+        """Tolerance replay over a stream of actions; return the accepted
+        stream indices and proposals.
 
-        Event i is accepted when ``|actions[i] - proposal| < delta``, and an
-        accept calls ``self.update(proposal, rewards[i])``. This default
-        proposes once per event, rejected events included. An override must
-        give the same accepts, ``update`` calls and generator draws, so a
-        subclass that changes ``propose`` or ``update`` of a class with its
-        own ``replay`` must override ``replay`` too.
+        Event i is accepted when ``|actions[i] - proposal| < delta``; each
+        accept calls ``reward(i, proposal)`` once, in order, and then
+        ``self.update(proposal, r)`` with the r it returned. This default
+        proposes once per event. An override must give the same accepts,
+        calls and generator draws, so a subclass that changes ``propose``
+        or ``update`` of a class with its own ``replay`` must override it.
         """
         indices, proposals = [], []
         propose, update = self.propose, self.update
         for i, a in enumerate(actions.tolist()):
             proposal = propose(rng)
             if abs(a - proposal) < delta:
-                update(proposal, rewards[i])
+                update(proposal, reward(i, proposal))
                 indices.append(i)
                 proposals.append(proposal)
         return indices, proposals
@@ -177,9 +177,9 @@ class UniformRandomPolicy(Policy):
     def propose(self, rng):
         return float(rng.uniform(self.range.lo, self.range.hi))
 
-    def replay(self, actions, rewards, delta, rng):
+    def replay(self, actions, reward, delta, rng):
         indices, proposals = [], []
-        _replay_uniform(self, actions, rewards, delta, rng, None, indices, proposals)
+        _replay_uniform(self, actions, reward, delta, rng, None, indices, proposals)
         return indices, proposals
 
 
@@ -195,9 +195,9 @@ class ConstantPolicy(Policy):
     def propose(self, rng):
         return self.action
 
-    def replay(self, actions, rewards, delta, rng):
+    def replay(self, actions, reward, delta, rng):
         indices, proposals = [], []
-        _replay_fixed(self, self.action, actions, rewards, delta, 0, indices, proposals)
+        _replay_fixed(self, self.action, actions, reward, delta, 0, indices, proposals)
         return indices, proposals
 
 
@@ -234,19 +234,19 @@ class EpsilonFirstPolicy(Policy):
                 self.fitted.b1, self.fitted.b2, self.range
             )
 
-    def replay(self, actions, rewards, delta, rng):
+    def replay(self, actions, reward, delta, rng):
         # Uniform while exploring; the fit fires inside the update of the
         # accept that completes exploration, and its action is then fixed.
         indices, proposals = [], []
         start = 0
         if self.t < self.explore_steps:
             start = _replay_uniform(
-                self, actions, rewards, delta, rng,
+                self, actions, reward, delta, rng,
                 self.explore_steps - self.t, indices, proposals,
             )
         if start < len(actions):
             _replay_fixed(
-                self, self.exploit_action, actions, rewards, delta, start,
+                self, self.exploit_action, actions, reward, delta, start,
                 indices, proposals,
             )
         return indices, proposals
@@ -317,7 +317,7 @@ class ThompsonQuadraticPolicy(Policy):
         mu, L = self._draw_factors()
         return self._action(mu + L @ rng.standard_normal(3))
 
-    def replay(self, actions, rewards, delta, rng):
+    def replay(self, actions, reward, delta, rng):
         # The normals are drawn a block at a time, but each proposal is
         # still one matrix-vector product: ``L.dot(z)`` gives the bits of
         # ``L @ z`` at less call overhead, while a batched ``Z @ L.T`` can
@@ -334,7 +334,7 @@ class ThompsonQuadraticPolicy(Policy):
                     stale = False
                 proposal = action(mu + L.dot(zj))
                 if abs(a - proposal) < delta:
-                    update(proposal, rewards[start + j])
+                    update(proposal, reward(start + j, proposal))
                     indices.append(start + j)
                     proposals.append(proposal)
                     stale = True
@@ -398,7 +398,7 @@ class LockInFeedbackPolicy(Policy):
             self.a0 += self.gamma * (self.r_sum / self.window)
             self.r_sum = 0.0
 
-    def replay(self, actions, rewards, delta, rng):
+    def replay(self, actions, reward, delta, rng):
         # The proposal moves only on update, so a rejected event costs one
         # comparison.
         indices, proposals = [], []
@@ -406,7 +406,7 @@ class LockInFeedbackPolicy(Policy):
         proposal = propose(rng)
         for i, a in enumerate(actions.tolist()):
             if abs(a - proposal) < delta:
-                update(proposal, rewards[i])
+                update(proposal, reward(i, proposal))
                 indices.append(i)
                 proposals.append(proposal)
                 proposal = propose(rng)

@@ -119,11 +119,12 @@ def replay_cab(
     order, draw a proposal with ``policy.propose(rng)``, rejected events
     included, and accept the event when ``|action - proposal| < delta``.
     An accepted event updates the policy with the proposal and the logged
-    reward, and the trace records the proposal. The policy's ``replay``
-    hook skips rejected events in bulk, but it makes the loop's generator
-    draws in the loop's order, so the trace, the policy's final state and
-    the generator's final state all equal the loop's, bit for bit. Only a
-    replay that an exception stops may leave the generator drawn ahead.
+    reward, which the hook's reward function returns; the trace records
+    the proposal. The ``replay`` hook skips rejected events in bulk, but
+    makes the loop's generator draws in the loop's order, so the trace and
+    the final states of policy and generator equal the loop's, bit for
+    bit. Only a replay that an exception stops may leave the generator
+    drawn ahead.
     """
     delta = cfg.delta
     if delta >= stream.range.width:
@@ -132,7 +133,7 @@ def replay_cab(
             stacklevel=2,
         )
     rewards = stream.rewards.tolist()
-    indices, proposals = policy.replay(stream.actions, rewards, delta, rng)
+    indices, proposals = policy.replay(stream.actions, lambda i, p: rewards[i], delta, rng)
     return Trace(indices, proposals, [rewards[i] for i in indices])
 
 
@@ -153,11 +154,12 @@ def required_log_length(
 ) -> int:
     """Log length whose expected accepted count reaches ``t_prime``.
 
-    Inverts E(T) = 2*delta*L / (hi - lo).
+    Inverts E(T) = 2*delta*L / (hi - lo), with the rate capped at 1 as in
+    ``acceptance_probability``, so it is never below ``t_prime``.
     """
-    if t_prime < 1 or delta <= 0:
+    if t_prime < 1 or not delta > 0:
         raise ValueError("t_prime and delta must be positive")
-    return math.ceil(action_range.width * t_prime / (2.0 * delta))
+    return max(t_prime, math.ceil(action_range.width * t_prime / (2.0 * delta)))
 
 
 STREAM_HEADER = ["index", "action", "reward"]

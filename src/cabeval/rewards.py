@@ -35,8 +35,19 @@ class ActionRange:
         return np.linspace(self.lo, self.hi, n)
 
 
+class _Surface:
+    """The noisy ``sample`` that both surfaces share."""
+
+    def sample(self, a, rng: np.random.Generator):
+        # Evaluation outside the range is deliberate: policies may propose there.
+        m = self.mean(a)
+        if self.noise_var == 0.0:
+            return m
+        return m + rng.normal(0.0, math.sqrt(self.noise_var), size=np.shape(a) or None)
+
+
 @dataclass(frozen=True)
-class ParabolaModel:
+class ParabolaModel(_Surface):
     """Unimodal surface mean(a) = -scale * (a - peak)^2, maximal at ``peak``."""
 
     peak: float
@@ -53,13 +64,6 @@ class ParabolaModel:
     def mean(self, a):
         return -self.scale * (a - self.peak) ** 2
 
-    def sample(self, a, rng: np.random.Generator):
-        # Evaluation outside the range is deliberate: policies may propose there.
-        m = self.mean(a)
-        if self.noise_var == 0.0:
-            return m
-        return m + rng.normal(0.0, math.sqrt(self.noise_var), size=np.shape(a) or None)
-
     def optimum(self) -> tuple[float, float]:
         return self.peak, 0.0
 
@@ -74,7 +78,7 @@ class ParabolaModel:
 
 
 @dataclass(frozen=True)
-class BimodalQuarticModel:
+class BimodalQuarticModel(_Surface):
     """Quartic surface with maxima at m1 and m2 and an interior minimum at m0.
 
     The mean is defined through its derivative,
@@ -117,18 +121,11 @@ class BimodalQuarticModel:
         object.__setattr__(self, "_optimum", (a_star, float(self.mean(a_star))))
 
     def mean(self, a):
-        if isinstance(a, np.ndarray):
-            return np.polyval(self._coeffs, a)
+        # Horner's rule, on a float or an array alike, as np.polyval does.
         v = 0.0
         for coef in self._coeffs:
             v = v * a + coef
         return v
-
-    def sample(self, a, rng: np.random.Generator):
-        m = self.mean(a)
-        if self.noise_var == 0.0:
-            return m
-        return m + rng.normal(0.0, math.sqrt(self.noise_var), size=np.shape(a) or None)
 
     def optimum(self) -> tuple[float, float]:
         return self._optimum

@@ -563,3 +563,16 @@ class TestCli:
         )
         assert rc == 0
         assert capsys.readouterr().out.strip() == "1000"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["--range", "1", "0"], ["--delta", "-1"], ["--delta", "nan"], ["--t-prime", "0"]],
+        ids=" ".join,
+    )
+    def test_sizing_bad_input_exit_2(self, capsys, bad):
+        # argparse keeps the last value of a repeated option.
+        assert cli_main(["sizing", "--t-prime", "500", "--delta", "0.1", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sizing error: ")
+        assert captured.err.count("\n") == 1

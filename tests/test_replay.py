@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from cabeval import policies
+from cabeval.harness import simulate_online
 from cabeval.policies import (
     ConstantPolicy,
     EpsilonFirstPolicy,
@@ -52,6 +54,18 @@ def reference_replay_cab(policy, stream, cfg, rng):
     return trace
 
 
+def reference_simulate_online(policy, model, horizon, proposal_rng, reward_rng):
+    """The per-step loop ``simulate_online`` must reproduce: one ``propose``,
+    ``sample`` and ``update`` per step."""
+    trace = Trace()
+    for t in range(horizon):
+        action = policy.propose(proposal_rng)
+        reward = float(model.sample(action, reward_rng))
+        policy.update(action, reward)
+        trace.append(t, action, reward)
+    return trace
+
+
 def policy_state(policy):
     """Every attribute of a policy, with arrays as lists so ``==`` is exact."""
 
@@ -93,6 +107,53 @@ def assert_same_replay(make, stream, delta, seed=99):
     assert state == ref_state
     assert rng_state == ref_rng_state
     return got
+
+
+def assert_same_online(make, model, horizon, seed=99):
+    """Run fresh copies of one policy online with ``simulate_online`` and with
+    the reference loop, each from equal generators, and require equal
+    traces, policy states and end states of both generators."""
+    outcomes = []
+    for simulate in (simulate_online, reference_simulate_online):
+        policy = make(model.range)
+        proposal_rng = np.random.default_rng([seed, 3])
+        reward_rng = np.random.default_rng([seed, 4])
+        trace = simulate(policy, model, horizon, proposal_rng, reward_rng)
+        outcomes.append(
+            (
+                trace,
+                policy_state(policy),
+                proposal_rng.bit_generator.state,
+                reward_rng.bit_generator.state,
+            )
+        )
+    (got, state, p_rng, r_rng), (expected, ref_state, ref_p_rng, ref_r_rng) = outcomes
+    assert got.stream_indices == expected.stream_indices == list(range(horizon))
+    assert got.proposals == expected.proposals
+    assert got.rewards == expected.rewards
+    assert state == ref_state
+    assert p_rng == ref_p_rng
+    assert r_rng == ref_r_rng
+
+
+class BaseLoopPolicy(Policy):
+    """Defines only ``propose`` and ``update``, so it runs on ``Policy.replay``."""
+
+    def __init__(self, action_range):
+        super().__init__(action_range)
+        self.center = 0.5
+
+    def propose(self, rng):
+        return self.center + 0.1 * float(rng.standard_normal())
+
+    def update(self, action, reward):
+        super().update(action, reward)
+        self.center += 0.5 * (action - self.center) * reward
+
+
+class NanAfterThree(Policy):
+    def propose(self, rng):
+        return math.nan if self.t >= 3 else 0.5
 
 
 def make_stream(actions, rewards):
@@ -364,6 +425,33 @@ class TestReplayKernel:
         assert trace.T == 0
 
 
+class TestOnlineKernel:
+    """``simulate_online`` against the per-step reference loop, compared with ==."""
+
+    @pytest.mark.parametrize("block", [256, policies.REPLAY_BLOCK])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("surface", [make_parabola, make_bimodal])
+    @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
+    def test_matches_reference_loop(self, name, surface, noise, seed, block, monkeypatch):
+        monkeypatch.setattr(policies, "REPLAY_BLOCK", block)
+        model = surface(np.random.default_rng(seed), UNIT, noise)
+        for horizon in (1, 257, 4097):
+            assert_same_online(POLICY_MAKERS[name], model, horizon, seed)
+
+    def test_policy_without_hook_runs_base_loop(self):
+        assert BaseLoopPolicy.replay is Policy.replay
+        model = make_bimodal(np.random.default_rng(12), UNIT, 0.01)
+        assert_same_online(BaseLoopPolicy, model, 500)
+
+    def test_non_finite_proposal_raises(self):
+        with pytest.raises(ValueError, match="7 of 10 online proposals not finite"):
+            simulate_online(
+                NanAfterThree(UNIT), PARABOLA, 10,
+                np.random.default_rng(0), np.random.default_rng(1),
+            )
+
+
 class TestSizing:
     def test_acceptance_probability_formula(self):
         assert acceptance_probability(0.1, UNIT) == pytest.approx(0.2)
@@ -391,6 +479,17 @@ class TestSizing:
         expected_T = acceptance_probability(0.1, UNIT) * 2448
         assert expected_T == pytest.approx(489.6)
         assert required_log_length(490, 0.1, UNIT) == 2450
+
+    def test_required_log_length_never_below_t_prime(self):
+        # At 2*delta >= width the capped acceptance rate is 1.
+        assert required_log_length(500, 0.5, UNIT) == 500
+        assert required_log_length(500, 0.6, UNIT) == 500
+        assert required_log_length(500, math.inf, UNIT) == 500
+
+    @pytest.mark.parametrize("t_prime, delta", [(0, 0.1), (500, 0.0), (500, -1.0), (500, math.nan)])
+    def test_required_log_length_rejects_bad_input(self, t_prime, delta):
+        with pytest.raises(ValueError, match="must be positive"):
+            required_log_length(t_prime, delta, UNIT)
 
     def test_round_trip_with_exact_divisibility(self):
         L = 4000
