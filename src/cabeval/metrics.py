@@ -27,20 +27,15 @@ def cumulative_regret(
     substitutes the recorded noisy rewards.
     """
     _, r_star = model.optimum()
-    if trace.T == 0:
-        return np.empty(0)
-    proposals = np.asarray(trace.proposals)
     if realized:
         increments = r_star - np.asarray(trace.rewards)
     else:
-        increments = r_star - model.mean(proposals)
+        increments = r_star - model.mean(np.asarray(trace.proposals))
     return np.cumsum(increments)
 
 
 def cumulative_reward(trace: Trace) -> np.ndarray:
     """Running sum of recorded rewards; final element equals trace.R_c."""
-    if trace.T == 0:
-        return np.empty(0)
     return np.cumsum(np.asarray(trace.rewards))
 
 

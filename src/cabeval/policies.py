@@ -44,10 +44,9 @@ def least_squares_quadratic(history) -> QuadraticCoefficients:
     """
     actions = np.asarray([a for a, _ in history], dtype=float)
     rewards = np.asarray([r for _, r in history], dtype=float)
-    if len(set(actions.tolist())) < 3:
-        raise RankDeficiencyError(
-            f"need >= 3 distinct actions, got {len(set(actions.tolist()))}"
-        )
+    distinct = len(set(actions.tolist()))
+    if distinct < 3:
+        raise RankDeficiencyError(f"need >= 3 distinct actions, got {distinct}")
     X = np.column_stack([np.ones_like(actions), actions, actions**2])
     xtx = X.T @ X
     if np.linalg.cond(xtx) > 1e12:
@@ -70,18 +69,6 @@ def argmax_quadratic(b1: float, b2: float, action_range: ActionRange) -> float:
     val_lo = b1 * lo + b2 * lo * lo
     val_hi = b1 * hi + b2 * hi * hi
     return lo if val_lo >= val_hi else hi
-
-
-def _cholesky_lower(matrix: np.ndarray, jitter: float = 1e-10) -> np.ndarray:
-    # One jitter retry guards against accumulated rounding on a matrix that
-    # is positive definite in exact arithmetic.
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        try:
-            return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
 
 
 # Events per block of pre-drawn proposal randomness in ``replay``. Successive
@@ -255,9 +242,11 @@ class EpsilonFirstPolicy(Policy):
 class ThompsonQuadraticPolicy(Policy):
     """Thompson sampling over a Bayesian quadratic regression of the reward.
 
-    Tracks the information vector J = P*mu and the precision matrix P of
-    the coefficient posterior; each proposal draws one coefficient vector
-    from N(inv(P)*J, inv(P)) and plays the argmax of the drawn quadratic.
+    Keeps the posterior's precision P and information vector J = P*mu as
+    nine floats. A proposal draws theta ~ N(inv(P)*J, inv(P)) as
+    inv(L')*(y + z), with P = L*L', L*y = J and z three standard normals,
+    and plays the drawn quadratic's argmax. L and y are factored at the
+    first proposal after an update and cached until the next update.
     """
 
     kind = "TBL"
@@ -266,85 +255,100 @@ class ThompsonQuadraticPolicy(Policy):
     DEFAULT_P_DIAG = (2.0, 2.0, 5.0)
 
     def __init__(
-        self,
-        action_range: ActionRange,
-        J=None,
-        P=None,
-        sigma2: float = 1.0,
+        self, action_range: ActionRange, J=None, P=None, sigma2: float = 1.0,
         clamp_vertex: bool = True,
     ):
         super().__init__(action_range)
         if sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        self.J = np.array(self.DEFAULT_J if J is None else J, dtype=float)
-        self.P = (
-            np.diag(self.DEFAULT_P_DIAG).astype(float)
-            if P is None
-            else np.array(P, dtype=float)
-        )
-        if self.J.shape != (3,) or self.P.shape != (3, 3):
-            raise ValueError(
-                f"J must have 3 entries and P must be 3x3, "
-                f"got shapes {self.J.shape} and {self.P.shape}"
-            )
-        _cholesky_lower(self.P)  # a prior that is not positive definite fails here
+        J = np.array(self.DEFAULT_J if J is None else J, dtype=float)
+        P = np.diag(self.DEFAULT_P_DIAG) if P is None else np.array(P, dtype=float)
+        if J.shape != (3,) or P.shape != (3, 3):
+            raise ValueError(f"J must have 3 entries and P must be 3x3, got {J.shape}, {P.shape}")
+        # P's upper triangle (p00, p01, p02, p11, p12, p22), then J.
+        self._pj = tuple(P[np.triu_indices(3)].tolist() + J.tolist())
         self.sigma2 = sigma2
         self.clamp_vertex = clamp_vertex
-        self._cached_draw_factors: tuple[np.ndarray, np.ndarray] | None = None
+        self._factors = None
+        self._factor()  # a prior that is not positive definite fails here
+
+    @property
+    def J(self) -> np.ndarray:
+        return np.array(self._pj[6:])
+
+    @property
+    def P(self) -> np.ndarray:
+        return np.array(self._pj)[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
 
     def posterior(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior (mu, Sigma) with Sigma = inv(P), mu = Sigma @ J."""
-        _cholesky_lower(self.P)  # PD check; raises otherwise
+        self._factor()  # PD check; raises otherwise
         sigma = np.linalg.inv(self.P)
-        sigma = (sigma + sigma.T) / 2.0
         return sigma @ self.J, sigma
 
-    def _draw_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and lower Cholesky factor, cached until the next update."""
-        if self._cached_draw_factors is None:
-            mu, sigma = self.posterior()
-            self._cached_draw_factors = (mu, _cholesky_lower(sigma))
-        return self._cached_draw_factors
+    def _factor(self) -> tuple[float, ...]:
+        """(y1, y2, l11, l21, l22) of the draw, cached until the next update."""
+        if self._factors is None:
+            p00, p01, p02, p11, p12, p22, j0, j1, j2 = self._pj
+            # A pivot that is not positive is retried once with 1e-10 added
+            # to the diagonal, against rounding on a positive definite P.
+            for eps in (0.0, 1e-10):
+                if (d0 := p00 + eps) > 0.0:
+                    l00 = math.sqrt(d0)
+                    l10, l20 = p01 / l00, p02 / l00
+                    if (d1 := p11 + eps - l10 * l10) > 0.0:
+                        l11 = math.sqrt(d1)
+                        l21 = (p12 - l20 * l10) / l11
+                        if (d2 := p22 + eps - l20 * l20 - l21 * l21) > 0.0:
+                            break
+            else:
+                raise NotPositiveDefiniteError("precision matrix is not positive definite")
+            l22 = math.sqrt(d2)
+            y0 = j0 / l00
+            y1 = (j1 - l10 * y0) / l11
+            self._factors = (y1, (j2 - l20 * y0 - l21 * y1) / l22, l11, l21, l22)
+        return self._factors
 
-    def _action(self, theta: np.ndarray) -> float:
-        """The action played for one drawn coefficient vector."""
-        _, b1, b2 = theta.tolist()
+    def _action(self, z1: float, z2: float) -> float:
+        """The action for the normals (z0, z1, z2) of one draw; z0 is unused."""
+        y1, y2, l11, l21, l22 = self._factor()
+        b2 = (y2 + z2) / l22
+        b1 = (y1 + z1 - l21 * b2) / l11
         if not self.clamp_vertex and b2 < 0.0:
             return -b1 / (2.0 * b2)
         return argmax_quadratic(b1, b2, self.range)
 
     def propose(self, rng):
-        mu, L = self._draw_factors()
-        return self._action(mu + L @ rng.standard_normal(3))
+        _, z1, z2 = rng.standard_normal(3).tolist()
+        return self._action(z1, z2)
 
     def replay(self, actions, reward, delta, rng):
-        # The normals are drawn a block at a time, but each proposal is
-        # still one matrix-vector product: ``L.dot(z)`` gives the bits of
-        # ``L @ z`` at less call overhead, while a batched ``Z @ L.T`` can
-        # differ from it in the last bits.
+        # A (k, 3) block of normals has the bits of k draws of three. Its
+        # columns as lists leave rejected events no numpy call to make.
         indices, proposals = [], []
         update, action = self.update, self._action
-        stale = True
         for start in range(0, len(actions), REPLAY_BLOCK):
             block = actions[start : start + REPLAY_BLOCK].tolist()
             z = rng.standard_normal((len(block), 3))
-            for j, (a, zj) in enumerate(zip(block, z)):
-                if stale:
-                    mu, L = self._draw_factors()
-                    stale = False
-                proposal = action(mu + L.dot(zj))
+            for i, (a, z1, z2) in enumerate(zip(block, z[:, 1].tolist(), z[:, 2].tolist()), start):
+                proposal = action(z1, z2)
                 if abs(a - proposal) < delta:
-                    update(proposal, reward(start + j, proposal))
-                    indices.append(start + j)
+                    update(proposal, reward(i, proposal))
+                    indices.append(i)
                     proposals.append(proposal)
-                    stale = True
         return indices, proposals
 
     def update(self, action, reward):
-        features = np.array([1.0, action, action * action])
-        self.J += reward * features / self.sigma2
-        self.P += np.outer(features, features) / self.sigma2
-        self._cached_draw_factors = None
+        # P += f*f'/sigma2 and J += reward*f/sigma2 for f = (1, a, a*a), each
+        # entry rounded as numpy's outer product and division round it.
+        s2, a2 = self.sigma2, action * action
+        p00, p01, p02, p11, p12, p22, j0, j1, j2 = self._pj
+        self._pj = (
+            p00 + 1.0 / s2, p01 + action / s2, p02 + a2 / s2,
+            p11 + a2 / s2, p12 + action * a2 / s2, p22 + a2 * a2 / s2,
+            j0 + reward / s2, j1 + reward * action / s2, j2 + reward * a2 / s2,
+        )
+        self._factors = None
         super().update(action, reward)
 
 

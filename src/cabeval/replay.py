@@ -49,7 +49,7 @@ class ReplayConfig:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
 
 
@@ -144,7 +144,7 @@ def acceptance_probability(delta: float, action_range: ActionRange) -> float:
     boundary the true acceptance window is truncated and the probability
     is smaller.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     return min(1.0, 2.0 * delta / action_range.width)
 

@@ -62,7 +62,8 @@ class ParabolaModel(_Surface):
             raise ValueError("noise_var must be non-negative")
 
     def mean(self, a):
-        return -self.scale * (a - self.peak) ** 2
+        d = a - self.peak  # d * d squares as an array's ** 2 does; a float's calls pow
+        return -self.scale * (d * d)
 
     def optimum(self) -> tuple[float, float]:
         return self.peak, 0.0

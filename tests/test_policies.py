@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cabeval import policies
 from cabeval.policies import (
     ConstantPolicy,
     EpsilonFirstPolicy,
@@ -97,42 +98,125 @@ class TestArgmaxQuadratic:
 
 
 class TestSampleMvn:
-    """TBL's posterior draw, mu + L @ z with the factors of ``_draw_factors``."""
+    """TBL's posterior draw, made in floats from the closed-form Cholesky
+    factor of the precision P."""
 
     @staticmethod
-    def tbl(mu, sigma):
+    def tbl(mu, sigma, **kwargs):
         P = np.linalg.inv(sigma)
-        return ThompsonQuadraticPolicy(UNIT, J=P @ mu, P=P)
+        return ThompsonQuadraticPolicy(UNIT, J=P @ mu, P=(P + P.T) / 2.0, **kwargs)
+
+    @staticmethod
+    def drawn_coefficients(monkeypatch, p, rng, n):
+        """(theta1, theta2) of n proposals, read where ``propose`` hands
+        them to ``argmax_quadratic``."""
+        drawn = []
+
+        def record(b1, b2, action_range):
+            drawn.append((b1, b2))
+            return 0.5
+
+        monkeypatch.setattr(policies, "argmax_quadratic", record)
+        for _ in range(n):
+            p.propose(rng)
+        return np.array(drawn)
 
     def test_zero_draw_returns_mean(self):
         # The mean's quadratic 2a - 2a^2 peaks at a = 0.5.
         mu = np.array([1.0, 2.0, -2.0])
-        p = self.tbl(mu, np.eye(3))
-        mean, _ = p._draw_factors()
-        assert np.array_equal(mean, mu)
-        assert p.propose(ZeroNormalRng()) == 0.5
+        assert self.tbl(mu, np.eye(3)).propose(ZeroNormalRng()) == 0.5
+        A = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.3]])
+        p = self.tbl(mu, A @ A.T, clamp_vertex=False)
+        assert p.propose(ZeroNormalRng()) == pytest.approx(0.5, rel=1e-12)
+
+    def test_zero_pivot_rescued_by_jitter(self):
+        # Each P below has one pivot of exactly 0; the retry adds 1e-10 to
+        # the diagonal, as numpy's factor of P + 1e-10*I does.
+        for P in (
+            np.diag([1.0, 1.0, 0.0]),
+            np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([0.0, 1.0, 1.0]),
+        ):
+            p = ThompsonQuadraticPolicy(UNIT, J=[0.0, 0.0, 0.0], P=P)
+            _, _, l11, l21, l22 = p._factor()
+            L = np.linalg.cholesky(P + 1e-10 * np.eye(3))
+            assert [l11, l21, l22] == pytest.approx([L[1, 1], L[2, 1], L[2, 2]], rel=1e-6)
+            assert 0.0 <= p.propose(np.random.default_rng(0)) <= 1.0
 
     def test_non_pd_sigma_raises(self):
-        # A non-PD prior fails at construction; one reached later, at the draw.
-        with pytest.raises(NotPositiveDefiniteError):
-            ThompsonQuadraticPolicy(UNIT, P=-np.eye(3))
-        p = ThompsonQuadraticPolicy(UNIT)
-        p.P = -np.eye(3)
-        with pytest.raises(NotPositiveDefiniteError):
-            p._draw_factors()
+        # A negative pivot in any place fails at construction, past the jitter.
+        for P in (
+            -np.eye(3),
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+            np.diag([1.0, 1.0, -1e-9]),
+        ):
+            with pytest.raises(NotPositiveDefiniteError):
+                ThompsonQuadraticPolicy(UNIT, P=P)
 
-    def test_moments_of_many_draws(self):
+    def test_non_pd_precision_raises_at_draw(self):
+        # A negative weight subtracts (1, 3, 9)(1, 3, 9)' from the prior,
+        # which leaves a negative second pivot for the next draw.
+        p = ThompsonQuadraticPolicy(UNIT)
+        p.sigma2 = -1.0
+        p.update(3.0, 0.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            p.propose(np.random.default_rng(0))
+
+    def test_moments_of_many_draws(self, monkeypatch):
         mu = np.array([0.5, -1.0, 2.0])
         A = np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.3]])
         sigma = A @ A.T
-        mean, L = self.tbl(mu, sigma)._draw_factors()
-        rng = np.random.default_rng(101)
-        draws = np.array([mean + L @ rng.standard_normal(3) for _ in range(50_000)])
-        tol = 5 * np.sqrt(np.diag(sigma) / 50_000)
-        assert np.all(np.abs(draws.mean(axis=0) - mu) < tol)
+        p = self.tbl(mu, sigma)
+        draws = self.drawn_coefficients(monkeypatch, p, np.random.default_rng(101), 50_000)
+        # Only theta1 and theta2 are solved for; theta0 never reaches the action.
+        tol = 5 * np.sqrt(np.diag(sigma)[1:] / 50_000)
+        assert np.all(np.abs(draws.mean(axis=0) - mu[1:]) < tol)
         emp = np.cov(draws.T)
-        rel = np.linalg.norm(emp - sigma) / np.linalg.norm(sigma)
+        rel = np.linalg.norm(emp - sigma[1:, 1:]) / np.linalg.norm(sigma[1:, 1:])
         assert rel < 0.05
+
+    def test_factor_and_mean_match_numpy(self, monkeypatch):
+        # The factor keeps l11, l21, l22 and y = inv(L)*J; l00, l10 and l20
+        # enter through y, and the zero draw's coefficients are (mu1, mu2).
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for _ in range(1000):
+            A = rng.normal(size=(3, 3))
+            P = A @ A.T + np.eye(3)
+            J = rng.normal(size=3)
+            p = ThompsonQuadraticPolicy(UNIT, J=J, P=P)
+            y1, y2, l11, l21, l22 = p._factor()
+            L = np.linalg.cholesky(P)
+            y = np.linalg.solve(L, J)
+            (mean,) = self.drawn_coefficients(monkeypatch, p, ZeroNormalRng(), 1)
+            ref_mu = np.linalg.solve(P, J)
+            worst = max(
+                worst,
+                np.max(np.abs([l11 - L[1, 1], l21 - L[2, 1], l22 - L[2, 2]])) / np.max(np.abs(L)),
+                np.max(np.abs([y1 - y[1], y2 - y[2]])) / np.max(np.abs(y)),
+                np.max(np.abs(mean - ref_mu[1:])) / np.max(np.abs(ref_mu)),
+            )
+        assert worst < 1e-12, worst
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.7])
+    @pytest.mark.parametrize(
+        "p0", [ThompsonQuadraticPolicy.DEFAULT_P_DIAG, (1e-9,) * 3], ids=["prior", "tiny"]
+    )
+    def test_updates_equal_numpy_reference(self, sigma2, p0):
+        # A tiny prior leaves the last bits of the first terms in the sums.
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            p = ThompsonQuadraticPolicy(UNIT, P=np.diag(p0), sigma2=sigma2)
+            J = np.array(ThompsonQuadraticPolicy.DEFAULT_J)
+            P = np.diag(p0)
+            for a, r in zip(rng.uniform(-0.5, 1.5, 300).tolist(), rng.normal(size=300).tolist()):
+                p.update(a, r)
+                features = np.array([1.0, a, a * a])
+                J += r * features / sigma2
+                P += np.outer(features, features) / sigma2
+                assert p.J.tolist() == J.tolist()
+                assert p.P.tolist() == P.tolist()
 
 
 class TestThompsonQuadratic:
@@ -175,6 +259,16 @@ class TestThompsonQuadratic:
         mu, emp_sigma = p.posterior()
         assert np.max(np.abs(mu - sigma @ J)) < 1e-10
         assert np.max(np.abs(emp_sigma - sigma)) < 1e-10
+
+    def test_zero_draw_follows_each_update(self):
+        # The cached factor is dropped at every update: the unclamped
+        # zero-draw action is the posterior mean's vertex after each one.
+        rng = np.random.default_rng(5)
+        p = ThompsonQuadraticPolicy(UNIT, clamp_vertex=False)
+        for a in rng.uniform(0, 1, 30).tolist():
+            p.update(a, -((a - 0.3) ** 2))
+            mu, _ = p.posterior()
+            assert p.propose(ZeroNormalRng()) == pytest.approx(-mu[1] / (2 * mu[2]), rel=1e-9)
 
     def test_precision_quadratic_form_monotone(self):
         rng = np.random.default_rng(9)

@@ -456,6 +456,13 @@ class TestSizing:
     def test_acceptance_probability_formula(self):
         assert acceptance_probability(0.1, UNIT) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
+    def test_non_positive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            ReplayConfig(delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            acceptance_probability(delta, UNIT)
+
     def test_acceptance_probability_capped(self):
         assert acceptance_probability(0.5, UNIT) == 1.0
         assert acceptance_probability(0.7, UNIT) == 1.0

@@ -65,6 +65,15 @@ class TestParabola:
         model = ParabolaModel(peak=0.5, scale=1.0, noise_var=0.0, range=UNIT)
         assert model.optimum() == (0.5, 0.0)
 
+    def test_scalar_mean_equals_array_mean(self):
+        # An online reward is the mean at one float, a logged one an entry of
+        # the mean over an array; both must square the same way, bit for bit.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            model = make_parabola(rng, UNIT, 0.0, scale=float(rng.uniform(0.5, 2.0)))
+            actions = rng.uniform(-0.5, 1.5, 1000)
+            assert [model.mean(a) for a in actions.tolist()] == model.mean(actions).tolist()
+
 
 class TestBimodal:
     def test_symmetric_geometry_solved_analytically(self):
