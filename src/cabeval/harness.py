@@ -72,14 +72,27 @@ def simulate_online(
 
     Online is a replay that accepts every finite proposal: the policy's
     ``replay`` hook runs over ``horizon`` zero actions at delta = inf, and
-    its reward function samples the model at each proposal with
-    ``reward_rng``. A run cut short by a non-finite proposal raises.
+    its reward function returns the model's mean at each proposal plus
+    the next of ``horizon`` noise draws, made from ``reward_rng`` in one
+    block before the run. The k-th accept takes the k-th draw, so the
+    rewards and ``reward_rng``'s end state are those of one ``sample``
+    per accept. A noise-free model draws nothing. A run cut short by a
+    non-finite proposal raises.
     """
     rewards = []
+    mean = model.mean
+    if model.noise_var == 0.0:
 
-    def reward(i, proposal):
-        rewards.append(float(model.sample(proposal, reward_rng)))
-        return rewards[-1]
+        def reward(i, proposal):
+            rewards.append(float(mean(proposal)))
+            return rewards[-1]
+
+    else:
+        noise = model.noise(reward_rng, horizon).tolist()
+
+        def reward(i, proposal):
+            rewards.append(float(mean(proposal) + noise[len(rewards)]))
+            return rewards[-1]
 
     indices, proposals = policy.replay(np.zeros(horizon), reward, math.inf, proposal_rng)
     if len(indices) < horizon:

@@ -259,12 +259,14 @@ class ThompsonQuadraticPolicy(Policy):
         clamp_vertex: bool = True,
     ):
         super().__init__(action_range)
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < sigma2 < math.inf:
+            raise ValueError("sigma2 must be positive and finite")
         J = np.array(self.DEFAULT_J if J is None else J, dtype=float)
         P = np.diag(self.DEFAULT_P_DIAG) if P is None else np.array(P, dtype=float)
         if J.shape != (3,) or P.shape != (3, 3):
             raise ValueError(f"J must have 3 entries and P must be 3x3, got {J.shape}, {P.shape}")
+        if not (np.isfinite(J).all() and np.isfinite(P).all()):
+            raise ValueError("J and P must be finite")
         # P's upper triangle (p00, p01, p02, p11, p12, p22), then J.
         self._pj = tuple(P[np.triu_indices(3)].tolist() + J.tolist())
         self.sigma2 = sigma2
@@ -382,8 +384,10 @@ class LockInFeedbackPolicy(Policy):
         omega: float = 1.0,
     ):
         super().__init__(action_range)
-        if amplitude <= 0 or window < 1 or gamma <= 0 or omega <= 0:
-            raise ValueError("amplitude, window, gamma, and omega must be positive")
+        if not math.isfinite(a0):
+            raise ValueError("a0 must be finite")
+        if window < 1 or not all(0 < x < math.inf for x in (amplitude, gamma, omega)):
+            raise ValueError("amplitude, window, gamma, and omega must be positive and finite")
         self.a0 = a0
         self.amplitude = amplitude
         self.window = window

@@ -2,8 +2,8 @@
 
 Two synthetic families are provided: a downward parabola with a random
 peak, and a bimodal quartic built from its stationary points. Both expose
-a noiseless ``mean``, a noisy ``sample``, and an analytic ``optimum`` so
-regret can be computed exactly.
+a noiseless ``mean``, the reward ``noise`` law, a noisy ``sample``, and an
+analytic ``optimum`` so regret can be computed exactly.
 """
 
 from __future__ import annotations
@@ -36,14 +36,21 @@ class ActionRange:
 
 
 class _Surface:
-    """The noisy ``sample`` that both surfaces share."""
+    """The reward noise law, N(0, noise_var), and the noisy ``sample`` that
+    both surfaces share."""
+
+    def noise(self, rng: np.random.Generator, size=None):
+        """Reward noise: one float, or an array of ``size`` draws. One call
+        for n draws gives the values and the generator end state of n
+        scalar calls, so a run may draw its noise in one block."""
+        return rng.normal(0.0, math.sqrt(self.noise_var), size)
 
     def sample(self, a, rng: np.random.Generator):
         # Evaluation outside the range is deliberate: policies may propose there.
         m = self.mean(a)
         if self.noise_var == 0.0:
             return m
-        return m + rng.normal(0.0, math.sqrt(self.noise_var), size=np.shape(a) or None)
+        return m + self.noise(rng, np.shape(a) or None)
 
 
 @dataclass(frozen=True)

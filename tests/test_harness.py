@@ -66,13 +66,20 @@ explore_steps = 3
 """
 
 # One bad value per line; each used to pass validation and then fail in
-# every repetition.
+# every repetition, or run wrong with no error recorded.
 BAD_POLICY_VALUES = [
     ("LiF", "gamma = abc"),
     ("LiF", "window = 0"),
+    ("LiF", "gamma = nan"),
+    ("LiF", "a0 = inf"),
+    ("LiF", "amplitude = nan"),
+    ("LiF", "omega = inf"),
     ("TBL", "j0 = 0.0, 0.05"),
+    ("TBL", "j0 = 0, nan, 0"),
     ("TBL", "p0_diag = 1.0, 2.0"),
     ("TBL", "p0_diag = -1, 2, 5"),
+    ("TBL", "p0_diag = inf, 2, 5"),
+    ("TBL", "sigma2 = nan"),
 ]
 
 # One bad [experiment] line each, added to an online parabola config.

@@ -444,6 +444,27 @@ class TestOnlineKernel:
         model = make_bimodal(np.random.default_rng(12), UNIT, 0.01)
         assert_same_online(BaseLoopPolicy, model, 500)
 
+    def test_noisy_run_draws_horizon_normals(self):
+        model = make_bimodal(np.random.default_rng(3), UNIT, 0.01)
+        reward_rng, fresh = np.random.default_rng(4), np.random.default_rng(4)
+        simulate_online(UniformRandomPolicy(UNIT), model, 300, np.random.default_rng(5), reward_rng)
+        fresh.normal(size=300)
+        assert reward_rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_noise_free_run_leaves_reward_rng_untouched(self):
+        reward_rng = np.random.default_rng(4)
+        before = reward_rng.bit_generator.state
+        simulate_online(UniformRandomPolicy(UNIT), PARABOLA, 300, np.random.default_rng(5), reward_rng)
+        assert reward_rng.bit_generator.state == before
+
+    def test_constant_rewards_are_mean_plus_noise_block(self):
+        model = ParabolaModel(peak=0.5, scale=1.0, noise_var=0.03, range=UNIT)
+        trace = simulate_online(
+            ConstantPolicy(UNIT, 0.3), model, 500, np.random.default_rng(5), np.random.default_rng(4)
+        )
+        noise = np.random.default_rng(4).normal(0.0, math.sqrt(model.noise_var), 500)
+        assert trace.rewards == (model.mean(0.3) + noise).tolist()
+
     def test_non_finite_proposal_raises(self):
         with pytest.raises(ValueError, match="7 of 10 online proposals not finite"):
             simulate_online(
