@@ -21,7 +21,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    t_eval = 1750
+    t_eval = min(1750, args.horizon)
     config = ExperimentConfig(
         mode="online",
         family=args.family,

@@ -51,6 +51,10 @@ def main(argv=None) -> int:
             return 2
         return 0
 
+    if args.command == "run" and args.workers < 1:
+        print(f"run error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
+
     try:
         config = parse_config(args.config)
     except ConfigError as exc:

@@ -148,6 +148,11 @@ class ExperimentConfig:
             raise ConfigError("ingest mode requires a stream path")
         if self.t_eval < 1:
             raise ConfigError("t_eval must be positive")
+        # No online or offline run reaches a later step, so every rank table
+        # would be n/a; ingest warns instead, since only the log's length
+        # and the policies' acceptance rates bound its runs.
+        if self.mode in ("online", "offline") and self.t_eval > self.horizon:
+            raise ConfigError(f"t_eval {self.t_eval} is beyond horizon {self.horizon}")
         if not 0 <= self.noise_var < math.inf:
             raise ConfigError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         if not self.policies:

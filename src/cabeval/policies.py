@@ -1,8 +1,8 @@
 """Continuous-armed bandit policies with a propose/update lifecycle.
 
-Policies never mutate state in ``propose``; every accepted interaction is
-fed back through ``update`` exactly once. All randomness flows through the
-``numpy.random.Generator`` handed to ``propose``.
+Policies never mutate state in ``propose``; every accepted interaction
+advances the state exactly once, as one ``update`` call would. All
+randomness flows through the ``numpy.random.Generator`` handed to ``propose``.
 
 Each policy is played through its ``replay`` hook: offline over a logged
 stream, and online as a replay that accepts every finite proposal. The
@@ -140,10 +140,12 @@ class Policy:
 
         Event i is accepted when ``|actions[i] - proposal| < delta``; each
         accept calls ``reward(i, proposal)`` once, in order, and then
-        ``self.update(proposal, r)`` with the r it returned. This default
-        proposes once per event. An override must give the same accepts,
-        calls and generator draws, so a subclass that changes ``propose``
-        or ``update`` of a class with its own ``replay`` must override it.
+        advances the policy exactly as ``self.update(proposal, r)`` would
+        with the r it returned. A hook may call ``update`` or do its work
+        inline. This default proposes once per event. An override must give
+        the same accepts, calls, generator draws and states, so a subclass
+        that changes ``propose`` or ``update`` of a class with its own
+        ``replay`` must override it.
         """
         indices, proposals = [], []
         propose, update = self.propose, self.update
@@ -311,8 +313,8 @@ class ThompsonQuadraticPolicy(Policy):
             self._factors = (y1, (j2 - l20 * y0 - l21 * y1) / l22, l11, l21, l22)
         return self._factors
 
-    def _action(self, z1: float, z2: float) -> float:
-        """The action for the normals (z0, z1, z2) of one draw; z0 is unused."""
+    def propose(self, rng):
+        _, z1, z2 = rng.standard_normal(3).tolist()  # z0 is unused
         y1, y2, l11, l21, l22 = self._factor()
         b2 = (y2 + z2) / l22
         b1 = (y1 + z1 - l21 * b2) / l11
@@ -320,24 +322,34 @@ class ThompsonQuadraticPolicy(Policy):
             return -b1 / (2.0 * b2)
         return argmax_quadratic(b1, b2, self.range)
 
-    def propose(self, rng):
-        _, z1, z2 = rng.standard_normal(3).tolist()
-        return self._action(z1, z2)
-
     def replay(self, actions, reward, delta, rng):
         # A (k, 3) block of normals has the bits of k draws of three. Its
-        # columns as lists leave rejected events no numpy call to make.
+        # columns as lists, and propose's arithmetic and argmax_quadratic
+        # inlined on local floats, leave a rejected event no call to make.
+        # The factors are refreshed at the first event after an accept, as
+        # propose would, so the cache ends where a per-event loop leaves it.
         indices, proposals = [], []
-        update, action = self.update, self._action
+        update, factor = self.update, self._factor
+        lo, hi, clamp = self.range.lo, self.range.hi, self.clamp_vertex
+        stale = True
         for start in range(0, len(actions), REPLAY_BLOCK):
             block = actions[start : start + REPLAY_BLOCK].tolist()
             z = rng.standard_normal((len(block), 3))
             for i, (a, z1, z2) in enumerate(zip(block, z[:, 1].tolist(), z[:, 2].tolist()), start):
-                proposal = action(z1, z2)
+                if stale:
+                    y1, y2, l11, l21, l22 = factor()
+                    stale = False
+                b2 = (y2 + z2) / l22
+                b1 = (y1 + z1 - l21 * b2) / l11
+                # argmax_quadratic: the vertex if b2 < 0 and it is in range
+                # (or clamping is off), else the better end, ties toward lo.
+                if not (b2 < 0.0 and (lo <= (proposal := -b1 / (2.0 * b2)) <= hi or not clamp)):
+                    proposal = lo if b1 * lo + b2 * lo * lo >= b1 * hi + b2 * hi * hi else hi
                 if abs(a - proposal) < delta:
                     update(proposal, reward(i, proposal))
                     indices.append(i)
                     proposals.append(proposal)
+                    stale = True
         return indices, proposals
 
     def update(self, action, reward):
@@ -407,15 +419,28 @@ class LockInFeedbackPolicy(Policy):
             self.r_sum = 0.0
 
     def replay(self, actions, reward, delta, rng):
-        # The proposal moves only on update, so a rejected event costs one
-        # comparison.
+        # The proposal moves only on an accept, so a rejected event costs one
+        # comparison. An accept applies update inline on local copies of the
+        # state, reusing the proposal's cos(omega*(t+1)) as the update's
+        # cos(omega*t); the state is written back however the loop ends.
         indices, proposals = [], []
-        propose, update = self.propose, self.update
-        proposal = propose(rng)
-        for i, a in enumerate(actions.tolist()):
-            if abs(a - proposal) < delta:
-                update(proposal, reward(i, proposal))
-                indices.append(i)
-                proposals.append(proposal)
-                proposal = propose(rng)
+        t, a0, r_sum = self.t, self.a0, self.r_sum
+        amplitude, window, gamma, omega = self.amplitude, self.window, self.gamma, self.omega
+        cos = math.cos
+        c = cos(omega * (t + 1))
+        proposal = a0 + amplitude * c
+        try:
+            for i, a in enumerate(actions.tolist()):
+                if abs(a - proposal) < delta:
+                    r_sum += reward(i, proposal) * c
+                    t += 1
+                    if t % window == 0:
+                        a0 += gamma * (r_sum / window)
+                        r_sum = 0.0
+                    indices.append(i)
+                    proposals.append(proposal)
+                    c = cos(omega * (t + 1))
+                    proposal = a0 + amplitude * c
+        finally:
+            self.t, self.a0, self.r_sum = t, a0, r_sum
         return indices, proposals

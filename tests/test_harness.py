@@ -44,6 +44,7 @@ family = parabola
 repetitions = 3
 horizon = 60
 master_seed = 7
+t_eval = 30
 out = {out}
 
 [policy.EF]
@@ -92,6 +93,7 @@ BAD_EXPERIMENT_VALUES = [
     "deltas = inf",
     "noise_var = nan",
     "range_hi = inf",
+    "t_eval = 10001",  # beyond the default horizon; every rank table was n/a
 ]
 
 
@@ -147,6 +149,13 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="deltas"):
             parse_config(path)
+
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    def test_t_eval_beyond_horizon_rejected(self, tmp_path, mode):
+        body = f"[experiment]\nmode = {mode}\nfamily = parabola\ndeltas = 0.1\nhorizon = 100\n"
+        assert parse_config(write_config(tmp_path, body + "t_eval = 100\n")).t_eval == 100
+        with pytest.raises(ConfigError, match="t_eval 101 is beyond horizon 100"):
+            parse_config(write_config(tmp_path, body + "t_eval = 101\n"))
 
     def test_ingest_without_stream_rejected(self, tmp_path):
         path = write_config(
@@ -532,6 +541,26 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["master_seed"] == 9
         assert "cli_out" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_run_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "o"
+        config_path = write_config(tmp_path, ONLINE_SMALL.format(out=out))
+        assert cli_main(["run", "--config", config_path, "--workers", workers]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    def test_run_t_eval_beyond_horizon_exit_2(self, tmp_path, capsys, mode):
+        out = tmp_path / "o"
+        config_path = write_config(
+            tmp_path,
+            f"[experiment]\nmode = {mode}\nfamily = parabola\ndeltas = 0.1\n"
+            f"horizon = 100\nt_eval = 200\nout = {out}\n",
+        )
+        assert cli_main(["run", "--config", config_path]) == 2
+        assert "config error: t_eval 200 is beyond horizon 100" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_good_config(self, tmp_path, capsys):
         config_path = write_config(tmp_path, ONLINE_SMALL.format(out=tmp_path / "o"))

@@ -84,7 +84,17 @@ POLICY_MAKERS = {
     "EF": lambda space: EpsilonFirstPolicy(space, explore_steps=50),
     "TBL": lambda space: ThompsonQuadraticPolicy(space),
     "TBL-unclamped": lambda space: ThompsonQuadraticPolicy(space, clamp_vertex=False),
+    # With sigma2 = 1, x / 1.0 == x would hide an update a hook makes inline
+    # in another association than ``update``.
+    "TBL-sigma2-prior": lambda space: ThompsonQuadraticPolicy(
+        space, sigma2=0.7, P=[[2.0, 0.3, -0.2], [0.3, 2.5, 0.4], [-0.2, 0.4, 5.0]]
+    ),
     "LiF": lambda space: LockInFeedbackPolicy(space, a0=0.3),
+    # Windows close every third accept. At gamma = 0.9 the noise walks the
+    # centre off some bimodal surfaces, whose quartic then drives it to inf.
+    "LiF-short-window": lambda space: LockInFeedbackPolicy(
+        space, a0=0.3, window=3, omega=0.7, gamma=0.5, amplitude=0.2
+    ),
     "Constant": lambda space: ConstantPolicy(space, 0.6),
 }
 
@@ -162,6 +172,20 @@ def make_stream(actions, rewards):
         rewards=np.asarray(rewards, dtype=float),
         range=UNIT,
     )
+
+
+class RowsRng:
+    """Hands out fixed rows of normals in order: one row per draw of three,
+    k rows per (k, 3) block."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.used = 0
+
+    def standard_normal(self, size):
+        n = math.prod(np.atleast_1d(size)) // 3
+        self.used += n
+        return self.rows[self.used - n : self.used].reshape(size)
 
 
 class ForcedUniformRng:
@@ -417,6 +441,62 @@ class TestReplayKernel:
         assert raised[0] == raised[1]
         history = raised[0][0]["history"]
         assert len(history) == 3 and history[-1][1] > 3
+
+    # With J = 0 and P = I the draw (z0, z1, z2) gives b1 = z1 and b2 = z2
+    # exactly. On [0.25, 1.5], b2 = -0.5 puts the vertex at b1, and
+    # b1 = -1.75 b2 makes the two ends tie.
+    @pytest.mark.parametrize("clamp", [True, False], ids=["clamped", "unclamped"])
+    @pytest.mark.parametrize(
+        "z1, z2, clamped, unclamped",
+        [
+            (0.0, 0.0, 0.25, 0.25),  # b1 = b2 = 0: a tie, which goes to lo
+            (0.25, -0.5, 0.25, 0.25),  # vertex exactly at lo
+            (1.5, -0.5, 1.5, 1.5),  # vertex exactly at hi
+            (3.0, -0.5, 1.5, 3.0),  # vertex beyond hi
+            (-1.75, 1.0, 0.25, 0.25),  # b2 > 0, ends tie
+            (1.0, 0.5, 1.5, 1.5),  # b2 > 0, hi better
+            (1.0, 0.0, 1.5, 1.5),  # b2 = 0, hi better
+        ],
+    )
+    def test_tbl_crafted_draws(self, z1, z2, clamped, unclamped, clamp):
+        space = ActionRange(0.25, 1.5)
+        actions = np.array([1e9, 1e9, 0.0])  # two rejects, then an accept
+        outcomes = []
+        for replay in (ThompsonQuadraticPolicy.replay, Policy.replay):
+            policy = ThompsonQuadraticPolicy(
+                space, J=[0.0, 0.0, 0.0], P=np.eye(3), clamp_vertex=clamp
+            )
+            rng = RowsRng([[9.0, z1, z2]] * 3)
+            got = replay(policy, actions, lambda i, p: 0.5, 1e6, rng)
+            outcomes.append((got, policy_state(policy), rng.used))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == ([2], [clamped if clamp else unclamped])
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
+    def test_reward_error_leaves_reference_state(self, name, k):
+        # A reward function that raises at the k-th accept leaves the policy
+        # as the per-event loop leaves it: advanced by k - 1 accepts.
+        stream = generate_logged_stream(
+            make_parabola(np.random.default_rng(13), UNIT, 0.01), 3000,
+            np.random.default_rng(14),
+        )
+        rewards = stream.rewards.tolist()
+        states = []
+        for replay in (type(POLICY_MAKERS[name](UNIT)).replay, Policy.replay):
+            policy, seen = POLICY_MAKERS[name](UNIT), []
+
+            def reward(i, proposal):
+                seen.append(i)
+                if len(seen) == k:
+                    raise KeyError(i)
+                return rewards[i]
+
+            with pytest.raises(KeyError):
+                replay(policy, stream.actions, reward, 0.5, np.random.default_rng(15))
+            states.append((seen, policy_state(policy)))
+        assert states[0] == states[1]
+        assert states[0][1]["t"] == k - 1
 
     @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
     def test_log_with_no_accepts(self, name):
