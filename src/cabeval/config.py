@@ -135,6 +135,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.mode in ("online", "offline") and self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
         if self.mode in ("offline", "ingest") and not self.deltas:
@@ -142,6 +144,9 @@ class ExperimentConfig:
         for d in self.deltas:
             if not 0 < d < math.inf:
                 raise ConfigError(f"deltas must be positive and finite, got {d}")
+        # A delta's artifacts and curve keys are named by its f"{d:g}" label.
+        if len({f"{d:g}" for d in self.deltas}) < len(self.deltas):
+            raise ConfigError(f"deltas must differ in 6 significant digits, got {self.deltas}")
         if self.mode in ("online", "offline") and self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode == "ingest" and not self.stream_path:
@@ -157,6 +162,9 @@ class ExperimentConfig:
             raise ConfigError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         if not self.policies:
             raise ConfigError("at least one policy is required")
+        names = [spec.name for spec in self.policies]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"policy names must not repeat, got {', '.join(names)}")
         # Build each policy once, so a bad value fails here and not in
         # every repetition. No generator: numpy imports its random module
         # on first use, which costs set-up time and memory.

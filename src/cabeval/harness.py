@@ -49,6 +49,8 @@ ROLE_POLICY_INIT = 2
 ROLE_PROPOSAL = 3
 ROLE_REWARD = 4
 
+REPS_PER_TASK = 8  # repetitions per pool task
+
 
 def derive_rng(
     master_seed: int,
@@ -139,7 +141,6 @@ def _repetition(
             model, config.horizon, derive_rng(seed, rep, ROLE_STREAM)
         )
     curves = {}
-    accepted = {}
     errors = []
     for delta in sweep:
         cfg = None if delta is None else ReplayConfig(delta=delta)
@@ -165,13 +166,11 @@ def _repetition(
                     )
                 else:
                     trace = replay_cab(policy, stream, cfg, proposal_rng)
-                key = _curve_key(spec.name, delta)
-                curves[key] = (
+                curves[_curve_key(spec.name, delta)] = (
                     cumulative_reward(trace)
                     if model is None
                     else cumulative_regret(trace, model, config.realized_regret)
                 )
-                accepted[key] = trace.T
             except Exception as exc:  # noqa: BLE001 - batch runs must survive one bad fit
                 error = {
                     "repetition": rep,
@@ -182,7 +181,7 @@ def _repetition(
                 if delta is not None:
                     error["delta"] = delta
                 errors.append(error)
-    return curves, accepted, errors
+    return curves, errors
 
 
 def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, stream):
@@ -190,19 +189,19 @@ def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, st
     run = partial(_repetition, config, sweep, stream)
     reps = range(config.repetitions)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, reps, chunksize=8))
+        # A worker beyond the number of tasks would get no work.
+        tasks = math.ceil(config.repetitions / REPS_PER_TASK)
+        with ProcessPoolExecutor(max_workers=min(workers, tasks)) as pool:
+            results = list(pool.map(run, reps, chunksize=REPS_PER_TASK))
     else:
         results = map(run, reps)
     per_key_curves: dict[str, list] = {}
-    per_key_T: dict[str, list] = {}
     errors: list = []
-    for curves, accepted, errs in results:
+    for curves, errs in results:
         for key, curve in curves.items():
             per_key_curves.setdefault(key, []).append(curve)
-            per_key_T.setdefault(key, []).append(accepted[key])
         errors.extend(errs)
-    return per_key_curves, per_key_T, errors
+    return per_key_curves, errors
 
 
 def _write_aggregate_csv(path, agg: RunAggregate) -> None:
@@ -237,7 +236,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
             )
 
     sweep: list[float | None] = [None] if config.mode == "online" else list(config.deltas)
-    per_key_curves, per_key_T, errors = _collect_repetitions(config, sweep, workers, stream)
+    per_key_curves, errors = _collect_repetitions(config, sweep, workers, stream)
 
     metric = "reward" if config.mode == "ingest" else "regret"
     aggregates: dict[tuple[str, float | None], RunAggregate] = {}
@@ -269,7 +268,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
     manifest = {
         "config": config.echo(),
-        "accepted_counts": {k: per_key_T[k] for k in sorted(per_key_T)},
+        # Each curve is a running sum over its run's accepts.
+        "accepted_counts": {k: list(map(len, cs)) for k, cs in sorted(per_key_curves.items())},
         "errors": errors,
         "metric": metric,
     }

@@ -77,35 +77,29 @@ def argmax_quadratic(b1: float, b2: float, action_range: ActionRange) -> float:
 REPLAY_BLOCK = 4096
 
 
-def _replay_fixed(policy, proposal, actions, reward, delta, start, indices, proposals):
-    """Accept every event from ``start`` on within delta of a proposal that
-    no update changes, updating the policy for each."""
-    hits = (np.flatnonzero(np.abs(actions[start:] - proposal) < delta) + start).tolist()
-    update = policy.update
-    for i in hits:
-        update(proposal, reward(i, proposal))
-    indices += hits
-    proposals += [proposal] * len(hits)
+def _replay_explore_then_fix(policy, actions, reward, delta, rng, explore):
+    """Replay a policy that proposes uniformly over its range, one draw per
+    event, for its first ``explore`` accepts (every accept if None), and
+    from the event after the last of them on proposes one fixed action;
+    return the accepted indices and proposals.
 
-
-def _replay_uniform(policy, actions, reward, delta, rng, limit, indices, proposals) -> int:
-    """Uniform proposals over the policy's range, one draw per event, until
-    ``limit`` accepts (no limit if None); return the events scanned.
-
-    The draws after the accept that reaches the limit are given back, so
+    The draws after the accept that ends exploration are given back, so
     the generator ends where a per-event loop stopping there leaves it.
+    The fixed action is the one ``policy.propose(rng)`` then returns
+    without a draw (see ``Policy.replay``).
     """
     lo, hi = policy.range.lo, policy.range.hi
     update = policy.update
+    indices, proposals = [], []
     start = 0
-    while start < len(actions) and limit != 0:
+    while start < len(actions) and explore != 0:
         block = actions[start : start + REPLAY_BLOCK]
         state = rng.bit_generator.state
         draws = rng.uniform(lo, hi, len(block))
-        hits = np.flatnonzero(np.abs(block - draws) < delta)[:limit]
-        if limit is not None:
-            limit -= len(hits)
-            if limit == 0:  # the scan ends at the last hit
+        hits = np.flatnonzero(np.abs(block - draws) < delta)[:explore]
+        if explore is not None:
+            explore -= len(hits)
+            if explore == 0:  # the scan ends at the last hit
                 block = block[: hits[-1] + 1]
                 rng.bit_generator.state = state
                 rng.uniform(lo, hi, len(block))
@@ -114,13 +108,18 @@ def _replay_uniform(policy, actions, reward, delta, rng, limit, indices, proposa
             indices.append(start + j)
             proposals.append(proposal)
         start += len(block)
-    return start
+    if start < len(actions):
+        proposal = policy.propose(rng)
+        hits = (np.flatnonzero(np.abs(actions[start:] - proposal) < delta) + start).tolist()
+        for i in hits:
+            update(proposal, reward(i, proposal))
+        indices += hits
+        proposals += [proposal] * len(hits)
+    return indices, proposals
 
 
 class Policy:
     """Base lifecycle: ``propose(rng)`` reads state, ``update`` advances it."""
-
-    kind = "base"
 
     def __init__(self, action_range: ActionRange):
         self.range = action_range
@@ -145,7 +144,10 @@ class Policy:
         inline. This default proposes once per event. An override must give
         the same accepts, calls, generator draws and states, so a subclass
         that changes ``propose`` or ``update`` of a class with its own
-        ``replay`` must override it.
+        ``replay`` must override it. UR, EF and ``ConstantPolicy`` share one
+        explore-then-fix kernel, which takes the fixed proposal from one
+        ``propose`` call; so once the proposal is fixed, ``propose`` makes
+        no draw.
         """
         indices, proposals = [], []
         propose, update = self.propose, self.update
@@ -161,21 +163,15 @@ class Policy:
 class UniformRandomPolicy(Policy):
     """Draws every action uniformly over the range; the naive benchmark."""
 
-    kind = "UR"
-
     def propose(self, rng):
         return float(rng.uniform(self.range.lo, self.range.hi))
 
     def replay(self, actions, reward, delta, rng):
-        indices, proposals = [], []
-        _replay_uniform(self, actions, reward, delta, rng, None, indices, proposals)
-        return indices, proposals
+        return _replay_explore_then_fix(self, actions, reward, delta, rng, None)
 
 
 class ConstantPolicy(Policy):
     """Always proposes a fixed action. Used for calibration and testing."""
-
-    kind = "constant"
 
     def __init__(self, action_range: ActionRange, action: float):
         super().__init__(action_range)
@@ -185,9 +181,7 @@ class ConstantPolicy(Policy):
         return self.action
 
     def replay(self, actions, reward, delta, rng):
-        indices, proposals = [], []
-        _replay_fixed(self, self.action, actions, reward, delta, 0, indices, proposals)
-        return indices, proposals
+        return _replay_explore_then_fix(self, actions, reward, delta, rng, 0)
 
 
 class EpsilonFirstPolicy(Policy):
@@ -196,8 +190,6 @@ class EpsilonFirstPolicy(Policy):
     The quadratic fit happens once, on the update that completes the
     exploration phase; the exploitation action is frozen thereafter.
     """
-
-    kind = "EF"
 
     def __init__(self, action_range: ActionRange, explore_steps: int = 2000):
         super().__init__(action_range)
@@ -224,21 +216,9 @@ class EpsilonFirstPolicy(Policy):
             )
 
     def replay(self, actions, reward, delta, rng):
-        # Uniform while exploring; the fit fires inside the update of the
-        # accept that completes exploration, and its action is then fixed.
-        indices, proposals = [], []
-        start = 0
-        if self.t < self.explore_steps:
-            start = _replay_uniform(
-                self, actions, reward, delta, rng,
-                self.explore_steps - self.t, indices, proposals,
-            )
-        if start < len(actions):
-            _replay_fixed(
-                self, self.exploit_action, actions, reward, delta, start,
-                indices, proposals,
-            )
-        return indices, proposals
+        return _replay_explore_then_fix(
+            self, actions, reward, delta, rng, max(self.explore_steps - self.t, 0)
+        )
 
 
 class ThompsonQuadraticPolicy(Policy):
@@ -250,8 +230,6 @@ class ThompsonQuadraticPolicy(Policy):
     and plays the drawn quadratic's argmax. L and y are factored at the
     first proposal after an update and cached until the next update.
     """
-
-    kind = "TBL"
 
     DEFAULT_J = (0.0, 0.05, -0.05)
     DEFAULT_P_DIAG = (2.0, 2.0, 5.0)
@@ -383,8 +361,6 @@ class LockInFeedbackPolicy(Policy):
     more slowly than TBL. A step of 0.1 gives 0.995, which leaves LiF close
     to a fixed random action for the whole horizon.
     """
-
-    kind = "LiF"
 
     def __init__(
         self,

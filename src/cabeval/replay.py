@@ -3,8 +3,10 @@
 Two evaluators are provided: exact-match replay for discrete action sets,
 and the tolerance-based variant for continuous actions that accepts a
 logged event whenever the logged action lies within ``delta`` of the
-policy's proposal. Accepted events update the policy with the *proposed*
-action, so the logged reward serves as a noisy evaluation at the proposal.
+policy's proposal. Both run the policy's ``replay`` hook; exact match is
+the tolerance rule at the smallest positive ``delta``. Accepted events
+update the policy with the *proposed* action, so the logged reward serves
+as a noisy evaluation at the proposal.
 """
 
 from __future__ import annotations
@@ -92,19 +94,14 @@ def replay_discrete(
     """Exact-match replay for finite action alphabets.
 
     An event is accepted only when the proposal equals the logged action;
-    rejected events leave the policy untouched.
+    rejected events leave the policy untouched. This is ``replay_cab`` at
+    delta = 5e-324, the smallest positive float: two finite floats that are
+    not equal differ by at least that much, so ``|action - proposal| <
+    5e-324`` holds exactly when they are equal.
     """
-    trace = Trace()
-    actions = stream.actions.tolist()
-    rewards = stream.rewards.tolist()
     if rng is None:
         rng = np.random.default_rng(0)  # deterministic policies only need a stub
-    for i, (a, r) in enumerate(zip(actions, rewards)):
-        proposal = policy.propose(rng)
-        if proposal == a:
-            policy.update(a, r)
-            trace.append(i, proposal, r)
-    return trace
+    return replay_cab(policy, stream, ReplayConfig(math.ulp(0.0)), rng)
 
 
 def replay_cab(

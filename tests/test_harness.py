@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cabeval import harness
 from cabeval.cli import main as cli_main
 from cabeval.config import (
     ConfigError,
@@ -94,6 +95,9 @@ BAD_EXPERIMENT_VALUES = [
     "noise_var = nan",
     "range_hi = inf",
     "t_eval = 10001",  # beyond the default horizon; every rank table was n/a
+    "master_seed = -1",  # SeedSequence raised in every repetition
+    "policies = UR, UR, EF",  # the manifest echoed three policies, the rank two
+    "deltas = 0.1, 0.1000001",  # both wrote the artifacts named 0.1
 ]
 
 
@@ -156,6 +160,13 @@ class TestParseConfig:
         assert parse_config(write_config(tmp_path, body + "t_eval = 100\n")).t_eval == 100
         with pytest.raises(ConfigError, match="t_eval 101 is beyond horizon 100"):
             parse_config(write_config(tmp_path, body + "t_eval = 101\n"))
+
+    def test_negative_master_seed_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path, "[experiment]\nmode = online\nfamily = parabola\nmaster_seed = -1\n"
+        )
+        with pytest.raises(ConfigError, match="master_seed must be non-negative, got -1"):
+            parse_config(path)
 
     def test_ingest_without_stream_rejected(self, tmp_path):
         path = write_config(
@@ -411,6 +422,34 @@ class TestRunExperiment:
             if name != "manifest.json":
                 assert files1[name] == files2[name], name
 
+    @pytest.mark.parametrize("repetitions, pool_size", [(1, 1), (9, 2), (40, 4)])
+    def test_pool_capped_at_task_count(self, tmp_path, monkeypatch, repetitions, pool_size):
+        # A stand-in pool records its size and maps in this process, so no
+        # worker process starts.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        config = ExperimentConfig(
+            family="parabola", repetitions=repetitions, horizon=20, t_eval=10,
+            out_dir=str(tmp_path / "r"), policies=(PolicySpec("UR", "UR"),),
+        )
+        result = run_experiment(config, workers=4)
+        assert sizes == [pool_size]
+        assert result.manifest["accepted_counts"] == {"UR": [20] * repetitions}
+
     def test_ingest_reports_reward_not_regret(self, tmp_path):
         model = ParabolaModel(peak=0.4, scale=1.0, noise_var=0.01, range=UNIT)
         stream = generate_logged_stream(model, 400, np.random.default_rng(3))
@@ -548,6 +587,13 @@ class TestCli:
         config_path = write_config(tmp_path, ONLINE_SMALL.format(out=out))
         assert cli_main(["run", "--config", config_path, "--workers", workers]) == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        config_path = write_config(tmp_path, ONLINE_SMALL.format(out=out))
+        assert cli_main(["run", "--config", config_path, "--seed", "-5"]) == 2
+        assert "config error: master_seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["online", "offline"])

@@ -54,6 +54,17 @@ def reference_replay_cab(policy, stream, cfg, rng):
     return trace
 
 
+def reference_replay_discrete(policy, stream, rng):
+    """The per-event exact-match loop ``replay_discrete`` must reproduce."""
+    trace = Trace()
+    for i, (a, r) in enumerate(zip(stream.actions.tolist(), stream.rewards.tolist())):
+        proposal = policy.propose(rng)
+        if proposal == a:
+            policy.update(a, r)
+            trace.append(i, proposal, r)
+    return trace
+
+
 def reference_simulate_online(policy, model, horizon, proposal_rng, reward_rng):
     """The per-step loop ``simulate_online`` must reproduce: one ``propose``,
     ``sample`` and ``update`` per step."""
@@ -239,6 +250,42 @@ class TestReplayDiscrete:
         trace = replay_discrete(ConstantPolicy(UNIT, 2.0), stream)
         # Binomial(10000, 1/4): sd around 43.3.
         assert abs(trace.T - 2500) < 5 * 43.3
+
+    def test_neighbouring_floats_rejected(self):
+        stream = make_stream(
+            [0.5, math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0), 0.5, 5e-324], np.ones(5)
+        )
+        trace = replay_discrete(ConstantPolicy(UNIT, 0.5), stream)
+        assert trace.stream_indices == [0, 3]
+
+    def test_signed_zeros_match(self):
+        # 5e-324 is the tolerance itself, so the strict test rejects it.
+        stream = make_stream([0.0, -0.0, 5e-324, -5e-324], np.ones(4))
+        trace = replay_discrete(ConstantPolicy(UNIT, 0.0), stream)
+        assert trace.stream_indices == [0, 1]
+
+    @pytest.mark.parametrize("arms", [None, 4], ids=["continuous", "4-arm"])
+    @pytest.mark.parametrize("name", ["UR", "EF", "TBL", "LiF"])
+    def test_matches_exact_match_loop(self, name, arms):
+        # Every other continuous action is the draw a uniform proposer makes
+        # there, so UR and exploring EF match it; TBL's proposals clamped to
+        # a bound match the 4-arm stream's end arms.
+        rng = np.random.default_rng(20)
+        stream = generate_logged_stream(make_parabola(rng, UNIT, 0.01), 3000, rng)
+        if arms is None:
+            actions = stream.actions.copy()
+            actions[::2] = np.random.default_rng(21).uniform(0.0, 1.0, 3000)[::2]
+        else:
+            actions = rng.integers(0, arms, 3000) / (arms - 1)
+        stream = LoggedStream(actions=actions, rewards=stream.rewards, range=UNIT)
+        outcomes = []
+        for replay in (replay_discrete, reference_replay_discrete):
+            policy, proposal_rng = POLICY_MAKERS[name](UNIT), np.random.default_rng(21)
+            trace = replay(policy, stream, proposal_rng)
+            outcomes.append((trace, policy_state(policy), proposal_rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        if (name, arms) in {("UR", None), ("EF", None), ("TBL", 4)}:
+            assert outcomes[0][0].T > 0
 
 
 class TestReplayCab:
