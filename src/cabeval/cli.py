@@ -8,7 +8,7 @@ import sys
 
 from .config import MODES, ConfigError, parse_config
 from .harness import run_experiment
-from .replay import required_log_length
+from .replay import StreamFormatError, required_log_length
 from .rewards import ActionRange
 
 
@@ -79,7 +79,11 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
 
-    result = run_experiment(config, workers=args.workers)
+    try:
+        result = run_experiment(config, workers=args.workers)
+    except (OSError, StreamFormatError) as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote results to {result.out_dir}")
     if result.errors:
         print(f"{len(result.errors)} run(s) failed; see manifest.json", file=sys.stderr)

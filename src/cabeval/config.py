@@ -141,10 +141,14 @@ class ExperimentConfig:
             raise ConfigError("horizon must be at least 1")
         if self.mode in ("offline", "ingest") and not self.deltas:
             raise ConfigError(f"{self.mode} mode requires a non-empty deltas list")
+        # A delta seeds its runs by the nano-unit key int(round(delta * 1e9)).
         for d in self.deltas:
-            if not 0 < d < math.inf:
-                raise ConfigError(f"deltas must be positive and finite, got {d}")
-        # A delta's artifacts and curve keys are named by its f"{d:g}" label.
+            if not (0 < d and math.isfinite(d * 1e9)):
+                raise ConfigError(
+                    f"deltas must be positive with a finite seed key delta * 1e9, "
+                    f"so at most about 1.8e299, got {d}"
+                )
+        # A delta's artifacts and manifest keys are named by its f"{d:g}" label.
         if len({f"{d:g}" for d in self.deltas}) < len(self.deltas):
             raise ConfigError(f"deltas must differ in 6 significant digits, got {self.deltas}")
         if self.mode in ("online", "offline") and self.family not in FAMILIES:
@@ -191,7 +195,10 @@ class ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, a line without "="
+        raise ConfigError(str(exc)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections = set(parser.sections())

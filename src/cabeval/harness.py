@@ -83,18 +83,13 @@ def simulate_online(
     """
     rewards = []
     mean = model.mean
-    if model.noise_var == 0.0:
+    # x + -0.0 is x for every float x, -0.0, inf and NaN included; +0.0
+    # would turn the -0.0 mean at a parabola's peak into +0.0.
+    noise = model.noise(reward_rng, horizon).tolist() if model.noise_var else [-0.0] * horizon
 
-        def reward(i, proposal):
-            rewards.append(float(mean(proposal)))
-            return rewards[-1]
-
-    else:
-        noise = model.noise(reward_rng, horizon).tolist()
-
-        def reward(i, proposal):
-            rewards.append(float(mean(proposal) + noise[len(rewards)]))
-            return rewards[-1]
+    def reward(i, proposal):
+        rewards.append(float(mean(proposal) + noise[len(rewards)]))
+        return rewards[-1]
 
     indices, proposals = policy.replay(np.zeros(horizon), reward, math.inf, proposal_rng)
     if len(indices) < horizon:
@@ -143,7 +138,6 @@ def _repetition(
     curves = {}
     errors = []
     for delta in sweep:
-        cfg = None if delta is None else ReplayConfig(delta=delta)
         seed_delta = delta or 0.0  # online runs are seeded as delta 0
         for spec in config.policies:
             try:
@@ -156,7 +150,7 @@ def _repetition(
                 proposal_rng = derive_rng(
                     seed, rep, ROLE_PROPOSAL, spec.name, seed_delta
                 )
-                if cfg is None:
+                if delta is None:
                     trace = simulate_online(
                         policy,
                         model,
@@ -165,8 +159,8 @@ def _repetition(
                         derive_rng(seed, rep, ROLE_REWARD, spec.name),
                     )
                 else:
-                    trace = replay_cab(policy, stream, cfg, proposal_rng)
-                curves[_curve_key(spec.name, delta)] = (
+                    trace = replay_cab(policy, stream, ReplayConfig(delta), proposal_rng)
+                curves[spec.name, delta] = (
                     cumulative_reward(trace)
                     if model is None
                     else cumulative_regret(trace, model, config.realized_regret)
@@ -195,7 +189,7 @@ def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, st
             results = list(pool.map(run, reps, chunksize=REPS_PER_TASK))
     else:
         results = map(run, reps)
-    per_key_curves: dict[str, list] = {}
+    per_key_curves: dict[tuple[str, float | None], list] = {}
     errors: list = []
     for curves, errs in results:
         for key, curve in curves.items():
@@ -211,11 +205,6 @@ def _write_aggregate_csv(path, agg: RunAggregate) -> None:
         # csv writes floats with str(), which equals repr() and gives "nan" for NaN.
         t = range(1, len(agg.n) + 1)
         writer.writerows(zip(t, agg.mean.tolist(), agg.se.tolist(), agg.n.tolist()))
-
-
-def _write_rank_csv(path, table: RankTable) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(table.to_rows())
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
@@ -245,14 +234,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         suffix = "" if delta is None else f"_delta{delta:g}"
         named = {}
         for spec in config.policies:
-            key = _curve_key(spec.name, delta)
-            curves = per_key_curves.get(key, [])
-            if curves:
-                agg = aggregate_runs(curves)
-            else:
-                agg = RunAggregate(np.empty(0), np.empty(0), np.empty(0, dtype=int), 0)
-            aggregates[(spec.name, delta)] = agg
-            named[spec.name] = agg
+            agg = aggregate_runs(per_key_curves.get((spec.name, delta), []))
+            aggregates[spec.name, delta] = named[spec.name] = agg
             _write_aggregate_csv(
                 os.path.join(
                     config.out_dir,
@@ -262,14 +245,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
             )
         table = rank_at(named, config.t_eval, metric)
         rank_tables[delta] = table
-        _write_rank_csv(
-            os.path.join(config.out_dir, f"rank_{config.mode}{suffix}.csv"), table
-        )
+        rank_path = os.path.join(config.out_dir, f"rank_{config.mode}{suffix}.csv")
+        with open(rank_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(table.to_rows())
 
     manifest = {
         "config": config.echo(),
         # Each curve is a running sum over its run's accepts.
-        "accepted_counts": {k: list(map(len, cs)) for k, cs in sorted(per_key_curves.items())},
+        "accepted_counts": {
+            _curve_key(policy, delta): list(map(len, cs))
+            for (policy, delta), cs in per_key_curves.items()
+        },
         "errors": errors,
         "metric": metric,
     }

@@ -54,14 +54,11 @@ def aggregate_runs(curves) -> RunAggregate:
 
     At each step the mean and standard error are taken over the curves
     long enough to reach it (the survivors). Standard error is undefined
-    (NaN) where fewer than two curves survive.
+    (NaN) where fewer than two curves survive. No curves, or only empty
+    ones, give empty arrays.
     """
     curves = [np.asarray(c, dtype=float) for c in curves]
-    if not curves:
-        raise ValueError("need at least one curve")
-    max_len = max(len(c) for c in curves)
-    if max_len == 0:
-        return RunAggregate(np.empty(0), np.empty(0), np.empty(0, dtype=int), len(curves))
+    max_len = max(map(len, curves), default=0)
     mat = np.full((len(curves), max_len), np.nan)
     for i, c in enumerate(curves):
         mat[i, : len(c)] = c

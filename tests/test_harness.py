@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,7 @@ from cabeval.harness import (
     simulate_online,
 )
 from cabeval.policies import (
+    ConstantPolicy,
     EpsilonFirstPolicy,
     LockInFeedbackPolicy,
     ThompsonQuadraticPolicy,
@@ -98,6 +104,13 @@ BAD_EXPERIMENT_VALUES = [
     "master_seed = -1",  # SeedSequence raised in every repetition
     "policies = UR, UR, EF",  # the manifest echoed three policies, the rank two
     "deltas = 0.1, 0.1000001",  # both wrote the artifacts named 0.1
+    "deltas = 1e300",  # its seed key overflowed in every repetition
+    "mode = bogus",
+    "repetitions = 0",
+    "horizon = 0",
+    "t_eval = 0",
+    "policies = ,",
+    "realized_regret = maybe",
 ]
 
 
@@ -206,6 +219,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.ini"))
 
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("[experiment]\nmode = online\nfamily = cubic\n", "family must be one of"),
+            ("[policy.UR]\n", r"missing \[experiment\] section"),
+            (
+                "[experiment]\nmode = online\nfamily = parabola\npolicies = X\n\n"
+                "[policy.X]\nkind = Foo\n",
+                "policy 'X': unknown kind 'Foo'",
+            ),
+        ],
+        ids=["unknown-family", "no-experiment", "unknown-kind"],
+    )
+    def test_rejected_config_names_the_fault(self, tmp_path, body, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(write_config(tmp_path, body))
+
+    def test_delta_bound_set_by_seed_key(self, tmp_path):
+        body = "[experiment]\nmode = offline\nfamily = parabola\ndeltas = {}\n"
+        assert parse_config(write_config(tmp_path, body.format("1e299"))).deltas == (1e299,)
+        with pytest.raises(ConfigError, match="at most about 1.8e299, got 1e"):
+            parse_config(write_config(tmp_path, body.format("1e300")))
+
 
 class TestMakePolicy:
     def test_simulation_defaults(self):
@@ -292,6 +328,18 @@ class TestSimulateOnline:
         )
         assert trace.T == 100
         assert trace.stream_indices == list(range(100))
+
+    def test_noise_free_rewards_keep_negative_zero(self):
+        # The parabola's mean at its peak is -0.0.
+        model = ParabolaModel(peak=0.5, scale=1.0, noise_var=0.0, range=UNIT)
+        trace = simulate_online(
+            ConstantPolicy(UNIT, 0.5),
+            model,
+            50,
+            np.random.default_rng(1),
+            np.random.default_rng(2),
+        )
+        assert [math.copysign(1.0, r) for r in trace.rewards] == [-1.0] * 50
 
 
 def read_all(out_dir):
@@ -567,6 +615,21 @@ class TestRunExperiment:
         assert manifest["errors"] == result.errors
 
 
+def run_cli(*args):
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cabeval.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestCli:
     def test_run_and_overrides(self, tmp_path, capsys):
         config_path = write_config(
@@ -607,6 +670,68 @@ class TestCli:
         assert cli_main(["run", "--config", config_path]) == 2
         assert "config error: t_eval 200 is beyond horizon 100" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_mode_override(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        config_path = write_config(tmp_path, OFFLINE_SMALL.format(out=out))
+        assert cli_main(["run", "--config", config_path, "--mode", "online"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["mode"] == "online"
+        assert (out / "rank_online.csv").exists()
+
+    def test_run_reports_failed_runs(self, tmp_path, capsys):
+        # On a 0.001-wide range EF's fit of three explored actions is singular.
+        out = tmp_path / "o"
+        config_path = write_config(
+            tmp_path,
+            "[experiment]\nmode = online\nfamily = parabola\nrepetitions = 3\n"
+            f"horizon = 6\nt_eval = 1\nrange_hi = 0.001\nout = {out}\n"
+            "policies = UR, EF\n\n[policy.EF]\nexplore_steps = 3\n",
+        )
+        assert cli_main(["run", "--config", config_path]) == 0
+        assert capsys.readouterr().err == "3 run(s) failed; see manifest.json\n"
+        # A policy whose every repetition failed gets an empty aggregate.
+        assert (out / "aggregate_online_EF.csv").read_text().splitlines() == ["t,mean,se,n"]
+        assert "EF,n/a,n/a,n/a" in (out / "rank_online.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(None, "No such file"), ("0,0.5,1.0\n1,0.5,abc\n", "stream.csv:3")],
+        ids=["missing", "bad-row"],
+    )
+    def test_run_unreadable_stream_exit_2(self, tmp_path, capsys, rows, message):
+        stream_path = tmp_path / "stream.csv"
+        if rows is not None:
+            stream_path.write_text("index,action,reward\n" + rows)
+        config_path = write_config(
+            tmp_path,
+            f"[experiment]\nmode = ingest\nstream = {stream_path}\ndeltas = 0.1\n"
+            f"out = {tmp_path / 'o'}\n",
+        )
+        assert cli_main(["validate", "--config", config_path]) == 0
+        done = run_cli("run", "--config", config_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("run error: ") and message in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+    # Each file used to escape parse_config as a configparser error; the
+    # message names the line.
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            pytest.param(
+                "[experiment]\nfamily = parabola\nfamily = bimodal\n", 3, id="repeated-key"
+            ),
+            pytest.param(
+                "[experiment]\nfamily = parabola\n[experiment]\nmode = online\n", 3,
+                id="repeated-section",
+            ),
+            pytest.param("family = parabola\n[experiment]\n", 1, id="no-header"),
+            pytest.param("[experiment]\nfamily = parabola\nonline\n", 3, id="no-equals"),
+        ],
+    )
+    def test_validate_malformed_ini_exit_2(self, tmp_path, capsys, body, line):
+        assert cli_main(["validate", "--config", write_config(tmp_path, body)]) == 2
+        assert re.match(rf"config error: .*line:?\s+{line}\b", capsys.readouterr().err, re.DOTALL)
 
     def test_validate_good_config(self, tmp_path, capsys):
         config_path = write_config(tmp_path, ONLINE_SMALL.format(out=tmp_path / "o"))

@@ -96,9 +96,12 @@ class TestAggregateRuns:
         assert agg.n.tolist() == [1]
         assert agg.run_count == 2
 
-    def test_no_curves_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_runs([])
+    @pytest.mark.parametrize("curves", [[], [[], []]], ids=["none", "all-empty"])
+    def test_no_curves_give_empty_aggregate(self, curves):
+        agg = aggregate_runs(curves)
+        assert agg.mean.size == agg.se.size == agg.n.size == 0
+        assert agg.n.dtype.kind == "i"
+        assert agg.run_count == len(curves)
 
     def test_standard_normal_sampling_distribution(self):
         rng = np.random.default_rng(2024)

@@ -229,6 +229,16 @@ class TestGenerateStream:
             generate_logged_stream(PARABOLA, 0, np.random.default_rng(0))
 
 
+class TestLoggedStream:
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            LoggedStream(np.zeros(3), np.zeros(2), UNIT)
+
+    def test_no_events_rejected(self):
+        with pytest.raises(StreamFormatError, match="at least one event"):
+            LoggedStream(np.zeros(0), np.zeros(0), UNIT)
+
+
 class TestReplayDiscrete:
     def test_three_arm_example(self):
         stream = make_stream([1, 2, 1], [1.0, 0.0, 1.0])
@@ -667,6 +677,21 @@ class TestStreamFiles:
         path = tmp_path / "empty.csv"
         path.write_text("index,action,reward\n")
         with pytest.raises(StreamFormatError):
+            load_stream(path, UNIT)
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("", "empty file"),
+            ("index,action,reward\n0,0.5\n", ":2: expected 3 fields, got 2"),
+            ("index,action,reward\n0,nan,1.0\n", ":2: non-finite value"),
+        ],
+        ids=["no-header", "two-fields", "nan"],
+    )
+    def test_malformed_file_names_the_fault(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(StreamFormatError, match=match):
             load_stream(path, UNIT)
 
     def test_bad_reward_names_the_row(self, tmp_path):

@@ -40,6 +40,36 @@ def test_action_range_rejects_inverted():
         ActionRange(0.5, 0.5)
 
 
+# Valid arguments for each surface; each bad case below changes one or two.
+VALID_ARGS = {
+    ParabolaModel: dict(peak=0.5, scale=1.0, noise_var=0.0, range=UNIT),
+    BimodalQuarticModel: dict(
+        m1=0.25, m0=0.5, m2=0.75, k=-64.0, c=0.4375, noise_var=0.0, range=UNIT
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "cls, change, match",
+    [
+        (ParabolaModel, {"scale": 0.0}, "scale must be positive"),
+        (ParabolaModel, {"noise_var": -0.1}, "noise_var must be non-negative"),
+        (BimodalQuarticModel, {"m1": 0.5, "m0": 0.25}, "lo < m1 < m0 < m2 < hi"),
+        (BimodalQuarticModel, {"noise_var": -0.1}, "noise_var must be non-negative"),
+        (BimodalQuarticModel, {"k": 64.0}, "k must be negative"),
+    ],
+)
+def test_bad_surface_rejected(cls, change, match):
+    cls(**VALID_ARGS[cls])
+    with pytest.raises(ValueError, match=match):
+        cls(**{**VALID_ARGS[cls], **change})
+
+
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError, match="unknown reward family 'cubic'"):
+        make_model("cubic", np.random.default_rng(0), UNIT, 0.01)
+
+
 class TestParabola:
     def test_forced_peak_direct_values(self):
         model = make_parabola(SequenceRng([0.5]), UNIT, noise_var=0.0)
