@@ -199,6 +199,8 @@ def parse_config(path) -> ExperimentConfig:
         read = parser.read(path)
     except configparser.Error as exc:  # a repeated key or section, a line without "="
         raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections = set(parser.sections())

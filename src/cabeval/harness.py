@@ -209,8 +209,6 @@ def _write_aggregate_csv(path, agg: RunAggregate) -> None:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Execute the configured experiment and write all artifacts to out_dir."""
-    os.makedirs(config.out_dir, exist_ok=True)
-
     stream = None
     if config.mode == "ingest":
         stream = load_stream(config.stream_path, config.action_range)
@@ -223,6 +221,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
                 f"t_eval={config.t_eval}; rank table may be all n/a",
                 stacklevel=2,
             )
+    # After the stream is read, so a run that fails on it leaves no directory.
+    os.makedirs(config.out_dir, exist_ok=True)
 
     sweep: list[float | None] = [None] if config.mode == "online" else list(config.deltas)
     per_key_curves, errors = _collect_repetitions(config, sweep, workers, stream)

@@ -7,7 +7,9 @@ randomness flows through the ``numpy.random.Generator`` handed to ``propose``.
 Each policy is played through its ``replay`` hook: offline over a logged
 stream, and online as a replay that accepts every finite proposal. The
 base class proposes once per event; the reference policies skip rejected
-events in bulk, drawing their randomness in blocks.
+events in bulk, drawing their randomness in blocks. A hook may apply an
+accept's update inline, and an accept whose ``update`` only advances ``t``
+may just be counted.
 """
 
 from __future__ import annotations
@@ -87,34 +89,46 @@ def _replay_explore_then_fix(policy, actions, reward, delta, rng, explore):
     the generator ends where a per-event loop stopping there leaves it.
     The fixed action is the one ``policy.propose(rng)`` then returns
     without a draw (see ``Policy.replay``).
+
+    Only an accept that explores toward a fit (``explore`` not None) calls
+    ``policy.update``. Any other accept, UR's or one of the fixed action,
+    only advances ``t``: it is counted, and ``t`` is advanced by the count
+    however the loop ends.
     """
     lo, hi = policy.range.lo, policy.range.hi
     update = policy.update
     indices, proposals = [], []
-    start = 0
-    while start < len(actions) and explore != 0:
-        block = actions[start : start + REPLAY_BLOCK]
-        state = rng.bit_generator.state
-        draws = rng.uniform(lo, hi, len(block))
-        hits = np.flatnonzero(np.abs(block - draws) < delta)[:explore]
-        if explore is not None:
-            explore -= len(hits)
-            if explore == 0:  # the scan ends at the last hit
-                block = block[: hits[-1] + 1]
-                rng.bit_generator.state = state
-                rng.uniform(lo, hi, len(block))
-        for j, proposal in zip(hits.tolist(), draws[hits].tolist()):
-            update(proposal, reward(start + j, proposal))
-            indices.append(start + j)
-            proposals.append(proposal)
-        start += len(block)
-    if start < len(actions):
-        proposal = policy.propose(rng)
-        hits = (np.flatnonzero(np.abs(actions[start:] - proposal) < delta) + start).tolist()
-        for i in hits:
-            update(proposal, reward(i, proposal))
-        indices += hits
-        proposals += [proposal] * len(hits)
+    start = counted = 0
+    try:
+        while start < len(actions) and explore != 0:
+            block = actions[start : start + REPLAY_BLOCK]
+            state = rng.bit_generator.state
+            draws = rng.uniform(lo, hi, len(block))
+            hits = np.flatnonzero(np.abs(block - draws) < delta)[:explore]
+            if explore is not None:
+                explore -= len(hits)
+                if explore == 0:  # the scan ends at the last hit
+                    block = block[: hits[-1] + 1]
+                    rng.bit_generator.state = state
+                    rng.uniform(lo, hi, len(block))
+            for j, proposal in zip(hits.tolist(), draws[hits].tolist()):
+                r = reward(start + j, proposal)
+                if explore is None:
+                    counted += 1
+                else:
+                    update(proposal, r)
+                indices.append(start + j)
+                proposals.append(proposal)
+            start += len(block)
+        if start < len(actions):
+            proposal = policy.propose(rng)
+            for i in (np.flatnonzero(np.abs(actions[start:] - proposal) < delta) + start).tolist():
+                reward(i, proposal)
+                counted += 1
+                indices.append(i)
+                proposals.append(proposal)
+    finally:
+        policy.t += counted
     return indices, proposals
 
 
@@ -141,9 +155,11 @@ class Policy:
         accept calls ``reward(i, proposal)`` once, in order, and then
         advances the policy exactly as ``self.update(proposal, r)`` would
         with the r it returned. A hook may call ``update`` or do its work
-        inline. This default proposes once per event. An override must give
-        the same accepts, calls, generator draws and states, so a subclass
-        that changes ``propose`` or ``update`` of a class with its own
+        inline; an accept whose ``update`` only advances ``t`` may just be
+        counted, with ``t`` written back however the replay ends. This
+        default proposes once per event. An override must give the same
+        accepts, calls, generator draws and states, so a subclass that
+        changes ``propose`` or ``update`` of a class with its own
         ``replay`` must override it. UR, EF and ``ConstantPolicy`` share one
         explore-then-fix kernel, which takes the fixed proposal from one
         ``propose`` call; so once the proposal is fixed, ``propose`` makes
@@ -304,30 +320,67 @@ class ThompsonQuadraticPolicy(Policy):
         # A (k, 3) block of normals has the bits of k draws of three. Its
         # columns as lists, and propose's arithmetic and argmax_quadratic
         # inlined on local floats, leave a rejected event no call to make.
-        # The factors are refreshed at the first event after an accept, as
-        # propose would, so the cache ends where a per-event loop leaves it.
+        # An accept applies update's sums to local copies of the posterior,
+        # and the first event after it refactors them with _factor's eps = 0
+        # pass, as propose would; a pivot that is not positive is left to
+        # _factor, the one home of the retry and the error. The state is
+        # written back however the loop ends, so the cache ends where a
+        # per-event loop leaves it.
         indices, proposals = [], []
-        update, factor = self.update, self._factor
         lo, hi, clamp = self.range.lo, self.range.hi, self.clamp_vertex
-        stale = True
-        for start in range(0, len(actions), REPLAY_BLOCK):
-            block = actions[start : start + REPLAY_BLOCK].tolist()
-            z = rng.standard_normal((len(block), 3))
-            for i, (a, z1, z2) in enumerate(zip(block, z[:, 1].tolist(), z[:, 2].tolist()), start):
-                if stale:
-                    y1, y2, l11, l21, l22 = factor()
-                    stale = False
-                b2 = (y2 + z2) / l22
-                b1 = (y1 + z1 - l21 * b2) / l11
-                # argmax_quadratic: the vertex if b2 < 0 and it is in range
-                # (or clamping is off), else the better end, ties toward lo.
-                if not (b2 < 0.0 and (lo <= (proposal := -b1 / (2.0 * b2)) <= hi or not clamp)):
-                    proposal = lo if b1 * lo + b2 * lo * lo >= b1 * hi + b2 * hi * hi else hi
-                if abs(a - proposal) < delta:
-                    update(proposal, reward(i, proposal))
-                    indices.append(i)
-                    proposals.append(proposal)
-                    stale = True
+        s2 = self.sigma2
+        inv_s2 = 1.0 / s2
+        sqrt = math.sqrt
+        p00, p01, p02, p11, p12, p22, j0, j1, j2 = self._pj
+        t = self.t
+        stale = self._factors is None
+        if not stale:
+            y1, y2, l11, l21, l22 = self._factors
+        try:
+            for start in range(0, len(actions), REPLAY_BLOCK):
+                block = actions[start : start + REPLAY_BLOCK].tolist()
+                z = rng.standard_normal((len(block), 3))
+                for i, (a, z1, z2) in enumerate(zip(block, z[:, 1].tolist(), z[:, 2].tolist()), start):
+                    if stale:
+                        if p00 > 0.0:
+                            l00 = sqrt(p00)
+                            l10, l20 = p01 / l00, p02 / l00
+                            if (d1 := p11 - l10 * l10) > 0.0:
+                                l11 = sqrt(d1)
+                                l21 = (p12 - l20 * l10) / l11
+                                if (d2 := p22 - l20 * l20 - l21 * l21) > 0.0:
+                                    l22 = sqrt(d2)
+                                    y0 = j0 / l00
+                                    y1 = (j1 - l10 * y0) / l11
+                                    y2 = (j2 - l20 * y0 - l21 * y1) / l22
+                                    stale = False
+                        if stale:
+                            self._pj = (p00, p01, p02, p11, p12, p22, j0, j1, j2)
+                            self._factors = None
+                            y1, y2, l11, l21, l22 = self._factor()
+                            stale = False
+                    b2 = (y2 + z2) / l22
+                    b1 = (y1 + z1 - l21 * b2) / l11
+                    # argmax_quadratic: the vertex if b2 < 0 and it is in range
+                    # (or clamping is off), else the better end, ties toward lo.
+                    if not (b2 < 0.0 and (lo <= (proposal := -b1 / (2.0 * b2)) <= hi or not clamp)):
+                        proposal = lo if b1 * lo + b2 * lo * lo >= b1 * hi + b2 * hi * hi else hi
+                    if abs(a - proposal) < delta:
+                        r = reward(i, proposal)
+                        a2 = proposal * proposal
+                        a2_s2 = a2 / s2
+                        p00, p01, p02, p11, p12, p22, j0, j1, j2 = (
+                            p00 + inv_s2, p01 + proposal / s2, p02 + a2_s2,
+                            p11 + a2_s2, p12 + proposal * a2 / s2, p22 + a2 * a2 / s2,
+                            j0 + r / s2, j1 + r * proposal / s2, j2 + r * a2 / s2,
+                        )
+                        t += 1
+                        indices.append(i)
+                        proposals.append(proposal)
+                        stale = True
+        finally:
+            self._pj, self.t = (p00, p01, p02, p11, p12, p22, j0, j1, j2), t
+            self._factors = None if stale else (y1, y2, l11, l21, l22)
         return indices, proposals
 
     def update(self, action, reward):

@@ -180,32 +180,35 @@ def load_stream(path, action_range: ActionRange) -> LoggedStream:
     actions: list[float] = []
     rewards: list[float] = []
     last_index = -1
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StreamFormatError(f"{path}: empty file") from None
-        if header != STREAM_HEADER:
-            raise StreamFormatError(f"{path}: expected header {STREAM_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise StreamFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                index = int(row[0])
-                action = float(row[1])
-                reward = float(row[2])
-            except ValueError as exc:
-                raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
-            if index <= last_index:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: index {index} not strictly increasing"
-                )
-            if not (math.isfinite(action) and math.isfinite(reward)):
-                raise StreamFormatError(f"{path}:{lineno}: non-finite value")
-            last_index = index
-            actions.append(action)
-            rewards.append(reward)
+                header = next(reader)
+            except StopIteration:
+                raise StreamFormatError(f"{path}: empty file") from None
+            if header != STREAM_HEADER:
+                raise StreamFormatError(f"{path}: expected header {STREAM_HEADER}, got {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    raise StreamFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                try:
+                    index = int(row[0])
+                    action = float(row[1])
+                    reward = float(row[2])
+                except ValueError as exc:
+                    raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
+                if index <= last_index:
+                    raise StreamFormatError(
+                        f"{path}:{lineno}: index {index} not strictly increasing"
+                    )
+                if not (math.isfinite(action) and math.isfinite(reward)):
+                    raise StreamFormatError(f"{path}:{lineno}: non-finite value")
+                last_index = index
+                actions.append(action)
+                rewards.append(reward)
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"{path}: {exc}") from None
     if not actions:
         raise StreamFormatError(f"{path}: stream contains no events")
     actions_arr = np.asarray(actions)

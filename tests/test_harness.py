@@ -695,22 +695,36 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "rows, message",
-        [(None, "No such file"), ("0,0.5,1.0\n1,0.5,abc\n", "stream.csv:3")],
-        ids=["missing", "bad-row"],
+        [
+            (None, "No such file"),
+            (b"0,0.5,1.0\n1,0.5,abc\n", "stream.csv:3"),
+            (b"0,0.5,1.0\n1,0.5,1\xff\n", "stream.csv: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["missing", "bad-row", "not-utf-8"],
     )
     def test_run_unreadable_stream_exit_2(self, tmp_path, capsys, rows, message):
         stream_path = tmp_path / "stream.csv"
         if rows is not None:
-            stream_path.write_text("index,action,reward\n" + rows)
+            stream_path.write_bytes(b"index,action,reward\n" + rows)
+        out = tmp_path / "o"
         config_path = write_config(
             tmp_path,
             f"[experiment]\nmode = ingest\nstream = {stream_path}\ndeltas = 0.1\n"
-            f"out = {tmp_path / 'o'}\n",
+            f"out = {out}\n",
         )
         assert cli_main(["validate", "--config", config_path]) == 0
         done = run_cli("run", "--config", config_path)
         assert done.returncode == 2
         assert done.stderr.startswith("run error: ") and message in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_validate_non_utf8_config_exit_2(self, tmp_path):
+        config_path = tmp_path / "exp.ini"
+        config_path.write_bytes(b"[experiment]\nfamily = parab\xffola\n")
+        done = run_cli("validate", "--config", str(config_path))
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"config error: {config_path}: 'utf-8' codec")
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
     # Each file used to escape parse_config as a configparser error; the

@@ -10,6 +10,7 @@ from cabeval.policies import (
     ConstantPolicy,
     EpsilonFirstPolicy,
     LockInFeedbackPolicy,
+    NotPositiveDefiniteError,
     Policy,
     RankDeficiencyError,
     ThompsonQuadraticPolicy,
@@ -560,6 +561,86 @@ class TestReplayKernel:
         stream = make_stream(np.full(5000, 1e9), np.ones(5000))
         trace = assert_same_replay(POLICY_MAKERS[name], stream, 0.1)
         assert trace.T == 0
+
+
+def tbl_hook_and_loop(make, actions, delta, make_rng):
+    """Replay fresh copies of one TBL policy with its hook and with
+    ``Policy.replay``; return, for each, the result or the type of the
+    exception raised, the policy state and the generator."""
+    outcomes = []
+    for replay in (ThompsonQuadraticPolicy.replay, Policy.replay):
+        policy, rng = make(), make_rng()
+        try:
+            got = replay(policy, np.asarray(actions, dtype=float), lambda i, p: 0.5, delta, rng)
+        except NotPositiveDefiniteError as exc:
+            got = type(exc)
+        outcomes.append((got, policy_state(policy), rng))
+    return outcomes
+
+
+class TestTblHookFactors:
+    """The factor paths TBL's hook runs inline, against ``Policy.replay``."""
+
+    # With J = 0, a diagonal P and zero draws, every proposal is the tie at
+    # lo = 0.0. An accept there adds 1/sigma2 to P's p00 alone, so the zero
+    # pivot stays (or, at sigma2 = -1, p00 drops to 0) and the refactor
+    # after it needs the 1e-10 retry.
+    @pytest.mark.parametrize(
+        "P, sigma2",
+        [(np.diag([1.0, 1.0, 0.0]), 1.0), (np.diag([1.0, 0.0, 1.0]), 1.0), (np.eye(3), -1.0)],
+        ids=["pivot2", "pivot1", "pivot0"],
+    )
+    def test_zero_pivot_retried_after_accept(self, P, sigma2):
+        def make():
+            policy = ThompsonQuadraticPolicy(UNIT, J=[0.0, 0.0, 0.0], P=P)
+            policy.sigma2 = sigma2
+            return policy
+
+        hook, loop = tbl_hook_and_loop(
+            make, [0.0, 1.0, 1.0], 0.5, lambda: RowsRng([[9.0, 0.0, 0.0]] * 3)
+        )
+        assert hook[:2] == loop[:2]
+        assert hook[0] == ([0], [0.0])
+        pj = hook[1]["_pj"]
+        assert 0.0 in (pj[0], pj[3], pj[5]) and hook[1]["_factors"] is not None
+
+    def test_posterior_stops_being_positive_definite(self):
+        # A negative weight subtracts f*f' at each accept, as in
+        # test_non_pd_precision_raises_at_draw: the first accept, at hi = 1,
+        # leaves a second pivot of 0, and the retry then a negative third.
+        def make():
+            policy = ThompsonQuadraticPolicy(UNIT)
+            policy.sigma2 = -1.0
+            return policy
+
+        hook, loop = tbl_hook_and_loop(
+            make, np.zeros(50), math.inf, lambda: np.random.default_rng(0)
+        )
+        assert hook[:2] == loop[:2]
+        assert hook[0] is NotPositiveDefiniteError
+        assert hook[1]["t"] == 1 and hook[1]["_factors"] is None
+
+    @pytest.mark.parametrize(
+        "actions, updated, cached",
+        [
+            ([0.0, 0.0, 0.0], False, False),
+            ([0.0, 0.0, 1e9], False, True),
+            ([], False, True),
+            ([], True, False),
+        ],
+        ids=["last-accepted", "last-rejected", "empty", "empty-after-update"],
+    )
+    def test_factors_at_end(self, actions, updated, cached):
+        def make():
+            policy = POLICY_MAKERS["TBL-sigma2-prior"](UNIT)
+            if updated:
+                policy.update(0.3, 1.0)
+            return policy
+
+        hook, loop = tbl_hook_and_loop(make, actions, 1e6, lambda: np.random.default_rng(21))
+        assert hook[:2] == loop[:2]
+        assert hook[2].bit_generator.state == loop[2].bit_generator.state
+        assert (hook[1]["_factors"] is not None) == cached
 
 
 class TestOnlineKernel:
