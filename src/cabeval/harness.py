@@ -74,27 +74,23 @@ def simulate_online(
 
     Online is a replay that accepts every finite proposal: the policy's
     ``replay`` hook runs over ``horizon`` zero actions at delta = inf, and
-    its reward function returns the model's mean at each proposal plus
-    the next of ``horizon`` noise draws, made from ``reward_rng`` in one
-    block before the run. The k-th accept takes the k-th draw, so the
-    rewards and ``reward_rng``'s end state are those of one ``sample``
-    per accept. A noise-free model draws nothing. A run cut short by a
-    non-finite proposal raises.
+    its reward function returns the model's mean at step i's proposal plus
+    the i-th of ``horizon`` noise draws, made from ``reward_rng`` in one
+    block before the run. Every step is accepted, or the run raises, so
+    the rewards and ``reward_rng``'s end state are those of one ``sample``
+    per step; the trace's rewards are computed after the hook in one array
+    call. A noise-free model draws nothing.
     """
-    rewards = []
-    mean = model.mean
     # x + -0.0 is x for every float x, -0.0, inf and NaN included; +0.0
     # would turn the -0.0 mean at a parabola's peak into +0.0.
-    noise = model.noise(reward_rng, horizon).tolist() if model.noise_var else [-0.0] * horizon
-
-    def reward(i, proposal):
-        rewards.append(float(mean(proposal) + noise[len(rewards)]))
-        return rewards[-1]
-
-    indices, proposals = policy.replay(np.zeros(horizon), reward, math.inf, proposal_rng)
+    noise = model.noise(reward_rng, horizon) if model.noise_var else np.full(horizon, -0.0)
+    mean, step_noise = model.mean, noise.tolist()
+    indices, proposals = policy.replay(
+        np.zeros(horizon), lambda i, p: mean(p) + step_noise[i], math.inf, proposal_rng
+    )
     if len(indices) < horizon:
         raise ValueError(f"{horizon - len(indices)} of {horizon} online proposals not finite")
-    return Trace(indices, proposals, rewards)
+    return Trace(indices, proposals, (mean(np.asarray(proposals)) + noise).tolist())
 
 
 @dataclass

@@ -6,10 +6,12 @@ randomness flows through the ``numpy.random.Generator`` handed to ``propose``.
 
 Each policy is played through its ``replay`` hook: offline over a logged
 stream, and online as a replay that accepts every finite proposal. The
-base class proposes once per event; the reference policies skip rejected
-events in bulk, drawing their randomness in blocks. A hook may apply an
-accept's update inline, and an accept whose ``update`` only advances ``t``
-may just be counted.
+hook's reward is a pure function of (event index, proposal), so a hook
+asks for it only where an ``update`` reads it. The base class proposes
+once per event; the reference policies skip rejected events in bulk,
+drawing their randomness in blocks. A hook may apply an accept's update
+inline, and an accept whose ``update`` only advances ``t`` may just be
+counted.
 """
 
 from __future__ import annotations
@@ -90,45 +92,40 @@ def _replay_explore_then_fix(policy, actions, reward, delta, rng, explore):
     The fixed action is the one ``policy.propose(rng)`` then returns
     without a draw (see ``Policy.replay``).
 
-    Only an accept that explores toward a fit (``explore`` not None) calls
-    ``policy.update``. Any other accept, UR's or one of the fixed action,
-    only advances ``t``: it is counted, and ``t`` is advanced by the count
-    however the loop ends.
+    Only an accept that explores toward a fit (``explore`` not None) asks
+    for its reward and calls ``policy.update``. Any other accept, UR's or
+    one of the fixed action, only advances ``t``, so each block's accepts
+    are counted at once and ask for no reward.
     """
     lo, hi = policy.range.lo, policy.range.hi
     update = policy.update
     indices, proposals = [], []
-    start = counted = 0
-    try:
-        while start < len(actions) and explore != 0:
-            block = actions[start : start + REPLAY_BLOCK]
-            state = rng.bit_generator.state
-            draws = rng.uniform(lo, hi, len(block))
-            hits = np.flatnonzero(np.abs(block - draws) < delta)[:explore]
-            if explore is not None:
-                explore -= len(hits)
-                if explore == 0:  # the scan ends at the last hit
-                    block = block[: hits[-1] + 1]
-                    rng.bit_generator.state = state
-                    rng.uniform(lo, hi, len(block))
-            for j, proposal in zip(hits.tolist(), draws[hits].tolist()):
-                r = reward(start + j, proposal)
-                if explore is None:
-                    counted += 1
-                else:
-                    update(proposal, r)
-                indices.append(start + j)
-                proposals.append(proposal)
-            start += len(block)
-        if start < len(actions):
-            proposal = policy.propose(rng)
-            for i in (np.flatnonzero(np.abs(actions[start:] - proposal) < delta) + start).tolist():
-                reward(i, proposal)
-                counted += 1
-                indices.append(i)
-                proposals.append(proposal)
-    finally:
-        policy.t += counted
+    start = 0
+    while start < len(actions) and explore != 0:
+        block = actions[start : start + REPLAY_BLOCK]
+        state = rng.bit_generator.state
+        draws = rng.uniform(lo, hi, len(block))
+        hits = np.flatnonzero(np.abs(block - draws) < delta)[:explore]
+        hit_indices, hit_proposals = (hits + start).tolist(), draws[hits].tolist()
+        if explore is None:
+            policy.t += len(hits)
+        else:
+            explore -= len(hits)
+            if explore == 0:  # the scan ends at the last hit
+                block = block[: hits[-1] + 1]
+                rng.bit_generator.state = state
+                rng.uniform(lo, hi, len(block))
+            for i, proposal in zip(hit_indices, hit_proposals):
+                update(proposal, reward(i, proposal))
+        indices += hit_indices
+        proposals += hit_proposals
+        start += len(block)
+    if start < len(actions):
+        proposal = policy.propose(rng)
+        hits = np.flatnonzero(np.abs(actions[start:] - proposal) < delta)
+        policy.t += len(hits)
+        indices += (hits + start).tolist()
+        proposals += [proposal] * len(hits)
     return indices, proposals
 
 
@@ -151,19 +148,20 @@ class Policy:
         """Tolerance replay over a stream of actions; return the accepted
         stream indices and proposals.
 
-        Event i is accepted when ``|actions[i] - proposal| < delta``; each
-        accept calls ``reward(i, proposal)`` once, in order, and then
-        advances the policy exactly as ``self.update(proposal, r)`` would
-        with the r it returned. A hook may call ``update`` or do its work
-        inline; an accept whose ``update`` only advances ``t`` may just be
-        counted, with ``t`` written back however the replay ends. This
-        default proposes once per event. An override must give the same
-        accepts, calls, generator draws and states, so a subclass that
-        changes ``propose`` or ``update`` of a class with its own
-        ``replay`` must override it. UR, EF and ``ConstantPolicy`` share one
-        explore-then-fix kernel, which takes the fixed proposal from one
-        ``propose`` call; so once the proposal is fixed, ``propose`` makes
-        no draw.
+        Event i is accepted when ``|actions[i] - proposal| < delta``, and
+        each accept advances the policy exactly as
+        ``self.update(proposal, reward(i, proposal))`` would. ``reward`` is
+        a pure function of the event index and the proposal, so a hook
+        asks for it only when an ``update`` reads it, at most once per
+        accept and in accept order. A hook may call ``update`` or do its
+        work inline; an accept whose ``update`` only advances ``t`` may
+        just be counted. This default proposes once per event and asks
+        for every accept's reward. An override must give the same accepts,
+        generator draws and states, so a subclass that changes ``propose``
+        or ``update`` of a class with its own ``replay`` must override it.
+        UR, EF and ``ConstantPolicy`` share one explore-then-fix kernel,
+        which takes the fixed proposal from one ``propose`` call; so once
+        the proposal is fixed, ``propose`` makes no draw.
         """
         indices, proposals = [], []
         propose, update = self.propose, self.update

@@ -116,12 +116,14 @@ def replay_cab(
     order, draw a proposal with ``policy.propose(rng)``, rejected events
     included, and accept the event when ``|action - proposal| < delta``.
     An accepted event updates the policy with the proposal and the logged
-    reward, which the hook's reward function returns; the trace records
-    the proposal. The ``replay`` hook skips rejected events in bulk, but
-    makes the loop's generator draws in the loop's order, so the trace and
-    the final states of policy and generator equal the loop's, bit for
-    bit. Only a replay that an exception stops may leave the generator
-    drawn ahead.
+    reward; the trace records the proposal. The hook's reward function is
+    a pure lookup of the logged reward by event index, which the hook
+    makes only where an ``update`` reads it, and the trace's rewards are
+    read from the log at the accepted indices. The ``replay`` hook skips
+    rejected events in bulk, but makes the loop's generator draws in the
+    loop's order, so the trace and the final states of policy and
+    generator equal the loop's, bit for bit. Only a replay that an
+    exception stops may leave the generator drawn ahead.
     """
     delta = cfg.delta
     if delta >= stream.range.width:
@@ -152,11 +154,15 @@ def required_log_length(
     """Log length whose expected accepted count reaches ``t_prime``.
 
     Inverts E(T) = 2*delta*L / (hi - lo), with the rate capped at 1 as in
-    ``acceptance_probability``, so it is never below ``t_prime``.
+    ``acceptance_probability``, so it is never below ``t_prime``. A length
+    beyond the float range is a ``ValueError``.
     """
     if t_prime < 1 or not delta > 0:
         raise ValueError("t_prime and delta must be positive")
-    return max(t_prime, math.ceil(action_range.width * t_prime / (2.0 * delta)))
+    try:
+        return max(t_prime, math.ceil(action_range.width * t_prime / (2.0 * delta)))
+    except OverflowError:
+        raise ValueError("required log length overflows a float") from None
 
 
 STREAM_HEADER = ["index", "action", "reward"]
@@ -207,7 +213,7 @@ def load_stream(path, action_range: ActionRange) -> LoggedStream:
                 last_index = index
                 actions.append(action)
                 rewards.append(reward)
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
     if not actions:
         raise StreamFormatError(f"{path}: stream contains no events")

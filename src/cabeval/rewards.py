@@ -18,13 +18,13 @@ GRID_POINTS = 10_001
 
 @dataclass(frozen=True)
 class ActionRange:
-    """Closed action interval [lo, hi]."""
+    """Closed action interval [lo, hi] of finite ends and finite width."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not (-math.inf < self.lo < self.hi < math.inf):
+        if not (-math.inf < self.lo < self.hi < math.inf and self.hi - self.lo < math.inf):
             raise ValueError(f"invalid action range [{self.lo}, {self.hi}]")
 
     @property

@@ -100,6 +100,7 @@ BAD_EXPERIMENT_VALUES = [
     "deltas = inf",
     "noise_var = nan",
     "range_hi = inf",
+    "range_lo = -1e308\nrange_hi = 1e308",  # its width overflowed in every repetition
     "t_eval = 10001",  # beyond the default horizon; every rank table was n/a
     "master_seed = -1",  # SeedSequence raised in every repetition
     "policies = UR, UR, EF",  # the manifest echoed three policies, the rank two
@@ -615,19 +616,26 @@ class TestRunExperiment:
         assert manifest["errors"] == result.errors
 
 
-def run_cli(*args):
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the checkout's ``src`` on its path."""
     env = dict(os.environ)
-    root = Path(__file__).resolve().parent.parent
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "cabeval.cli", *args],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "cabeval.cli", *args)
 
 
 class TestCli:
@@ -699,8 +707,12 @@ class TestCli:
             (None, "No such file"),
             (b"0,0.5,1.0\n1,0.5,abc\n", "stream.csv:3"),
             (b"0,0.5,1.0\n1,0.5,1\xff\n", "stream.csv: 'utf-8' codec can't decode byte 0xff"),
+            (
+                b"0,0.5,1.0\n1," + b"1" * 200_000 + b",1.0\n",
+                "stream.csv: field larger than field limit",
+            ),
         ],
-        ids=["missing", "bad-row", "not-utf-8"],
+        ids=["missing", "bad-row", "not-utf-8", "field-limit"],
     )
     def test_run_unreadable_stream_exit_2(self, tmp_path, capsys, rows, message):
         stream_path = tmp_path / "stream.csv"
@@ -761,11 +773,18 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_validate_readme_config(self, tmp_path, capsys):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         config_path = write_config(tmp_path, example)
         assert cli_main(["validate", "--config", config_path]) == 0
         assert "ok (offline mode, 4 policies)" in capsys.readouterr().out
+
+    def test_readme_quick_start_runs(self):
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        done = run_python("-c", example)
+        assert done.returncode == 0, done.stderr
+        assert "events accepted" in done.stdout
 
     @pytest.mark.parametrize("policy, line", BAD_POLICY_VALUES)
     def test_validate_bad_policy_value_exit_2(self, tmp_path, capsys, policy, line):
@@ -787,8 +806,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "bad",
-        [["--range", "1", "0"], ["--delta", "-1"], ["--delta", "nan"], ["--t-prime", "0"]],
-        ids=" ".join,
+        [
+            ["--range", "1", "0"],
+            ["--delta", "-1"],
+            ["--delta", "nan"],
+            ["--t-prime", "0"],
+            ["--delta", "1e-320"],  # the length overflowed in math.ceil
+            ["--t-prime", "1" + "0" * 400],  # t_prime overflowed as a float
+        ],
+        ids=lambda bad: " ".join(bad)[:24],
     )
     def test_sizing_bad_input_exit_2(self, capsys, bad):
         # argparse keeps the last value of a repeated option.

@@ -530,31 +530,66 @@ class TestReplayKernel:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == ([2], [clamped if clamp else unclamped])
 
+    @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
+    def test_reward_asked_only_where_update_reads_it(self, name):
+        # UR's and Constant's updates only advance t, and EF's reads the
+        # reward only while it explores; TBL and LiF read every accept's.
+        stream = generate_logged_stream(PARABOLA, 3000, np.random.default_rng(14))
+        rewards, asked = stream.rewards.tolist(), []
+
+        def reward(i, proposal):
+            asked.append(i)
+            return rewards[i]
+
+        policy = POLICY_MAKERS[name](UNIT)
+        indices, _ = policy.replay(stream.actions, reward, 0.1, np.random.default_rng(15))
+        assert len(indices) > 100
+        if name in ("UR", "Constant"):
+            assert asked == []
+        elif name == "EF":
+            assert asked == indices[: policy.explore_steps]
+        else:
+            assert asked == indices
+
     @pytest.mark.parametrize("k", [1, 7, 60])
     @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
     def test_reward_error_leaves_reference_state(self, name, k):
-        # A reward function that raises at the k-th accept leaves the policy
-        # as the per-event loop leaves it: advanced by k - 1 accepts.
+        # A reward function that raises at its k-th call leaves the policy
+        # as the per-event loop leaves it: advanced by k - 1 accepts. UR and
+        # Constant ask for no reward, and EF only for its 50 exploring
+        # accepts; a hook that makes no k-th call completes as
+        # ``Policy.replay`` does with a plain reward.
         stream = generate_logged_stream(
             make_parabola(np.random.default_rng(13), UNIT, 0.01), 3000,
             np.random.default_rng(14),
         )
         rewards = stream.rewards.tolist()
-        states = []
-        for replay in (type(POLICY_MAKERS[name](UNIT)).replay, Policy.replay):
-            policy, seen = POLICY_MAKERS[name](UNIT), []
+
+        def run(replay, raise_at):
+            policy, rng, seen = POLICY_MAKERS[name](UNIT), np.random.default_rng(15), []
 
             def reward(i, proposal):
                 seen.append(i)
-                if len(seen) == k:
+                if len(seen) == raise_at:
                     raise KeyError(i)
                 return rewards[i]
 
-            with pytest.raises(KeyError):
-                replay(policy, stream.actions, reward, 0.5, np.random.default_rng(15))
-            states.append((seen, policy_state(policy)))
-        assert states[0] == states[1]
-        assert states[0][1]["t"] == k - 1
+            try:
+                got = replay(policy, stream.actions, reward, 0.5, rng)
+            except KeyError:
+                got = KeyError
+            return got, seen, policy_state(policy), rng.bit_generator.state
+
+        got, seen, state, rng_state = run(type(POLICY_MAKERS[name](UNIT)).replay, k)
+        if k <= {"UR": 0, "Constant": 0, "EF": 50}.get(name, math.inf):
+            ref_got, ref_seen, ref_state, _ = run(Policy.replay, k)
+            assert got is ref_got is KeyError
+            assert (seen, state) == (ref_seen, ref_state)
+            assert state["t"] == k - 1
+        else:
+            ref_got, _, ref_state, ref_rng_state = run(Policy.replay, None)
+            assert got is not KeyError and len(seen) < k
+            assert (got, state, rng_state) == (ref_got, ref_state, ref_rng_state)
 
     @pytest.mark.parametrize("name", sorted(POLICY_MAKERS))
     def test_log_with_no_accepts(self, name):
@@ -735,6 +770,13 @@ class TestSizing:
     @pytest.mark.parametrize("t_prime, delta", [(0, 0.1), (500, 0.0), (500, -1.0), (500, math.nan)])
     def test_required_log_length_rejects_bad_input(self, t_prime, delta):
         with pytest.raises(ValueError, match="must be positive"):
+            required_log_length(t_prime, delta, UNIT)
+
+    @pytest.mark.parametrize(
+        "t_prime, delta", [(500, 1e-320), (10**400, 0.1)], ids=["tiny-delta", "huge-t-prime"]
+    )
+    def test_required_log_length_overflow_rejected(self, t_prime, delta):
+        with pytest.raises(ValueError, match="overflows"):
             required_log_length(t_prime, delta, UNIT)
 
     def test_round_trip_with_exact_divisibility(self):

@@ -38,6 +38,8 @@ def test_action_range_rejects_inverted():
         ActionRange(1.0, 0.0)
     with pytest.raises(ValueError):
         ActionRange(0.5, 0.5)
+    with pytest.raises(ValueError):  # finite ends whose width overflows
+        ActionRange(-1e308, 1e308)
 
 
 # Valid arguments for each surface; each bad case below changes one or two.
