@@ -29,7 +29,7 @@ def main() -> None:
             model = make_model(family, rng, action_range, noise_var=0.01)
             a_star, r_star = model.optimum()
             grid_best = grid[np.argmax(model.mean(grid))]
-            print(f"draw {draw}: {model.describe()}")
+            print(f"draw {draw}: {model}")
             print(
                 f"  optimum at a*={a_star:.4f} (value {r_star:.4f}), "
                 f"grid argmax {grid_best:.4f}"

@@ -211,7 +211,6 @@ class EpsilonFirstPolicy(Policy):
             raise ValueError("explore_steps must be at least 3 to fit a quadratic")
         self.explore_steps = explore_steps
         self.history: list[tuple[float, float]] = []
-        self.fitted: QuadraticCoefficients | None = None
         self.exploit_action: float | None = None
 
     def propose(self, rng):
@@ -224,10 +223,8 @@ class EpsilonFirstPolicy(Policy):
             self.history.append((action, reward))
         super().update(action, reward)
         if self.t == self.explore_steps:
-            self.fitted = least_squares_quadratic(self.history)
-            self.exploit_action = argmax_quadratic(
-                self.fitted.b1, self.fitted.b2, self.range
-            )
+            fitted = least_squares_quadratic(self.history)
+            self.exploit_action = argmax_quadratic(fitted.b1, fitted.b2, self.range)
 
     def replay(self, actions, reward, delta, rng):
         return _replay_explore_then_fix(
@@ -241,8 +238,8 @@ class ThompsonQuadraticPolicy(Policy):
     Keeps the posterior's precision P and information vector J = P*mu as
     nine floats. A proposal draws theta ~ N(inv(P)*J, inv(P)) as
     inv(L')*(y + z), with P = L*L', L*y = J and z three standard normals,
-    and plays the drawn quadratic's argmax. L and y are factored at the
-    first proposal after an update and cached until the next update.
+    and plays the drawn quadratic's argmax. L and y are factored from P
+    and J at each proposal.
     """
 
     DEFAULT_J = (0.0, 0.05, -0.05)
@@ -265,7 +262,6 @@ class ThompsonQuadraticPolicy(Policy):
         self._pj = tuple(P[np.triu_indices(3)].tolist() + J.tolist())
         self.sigma2 = sigma2
         self.clamp_vertex = clamp_vertex
-        self._factors = None
         self._factor()  # a prior that is not positive definite fails here
 
     @property
@@ -283,27 +279,25 @@ class ThompsonQuadraticPolicy(Policy):
         return sigma @ self.J, sigma
 
     def _factor(self) -> tuple[float, ...]:
-        """(y1, y2, l11, l21, l22) of the draw, cached until the next update."""
-        if self._factors is None:
-            p00, p01, p02, p11, p12, p22, j0, j1, j2 = self._pj
-            # A pivot that is not positive is retried once with 1e-10 added
-            # to the diagonal, against rounding on a positive definite P.
-            for eps in (0.0, 1e-10):
-                if (d0 := p00 + eps) > 0.0:
-                    l00 = math.sqrt(d0)
-                    l10, l20 = p01 / l00, p02 / l00
-                    if (d1 := p11 + eps - l10 * l10) > 0.0:
-                        l11 = math.sqrt(d1)
-                        l21 = (p12 - l20 * l10) / l11
-                        if (d2 := p22 + eps - l20 * l20 - l21 * l21) > 0.0:
-                            break
-            else:
-                raise NotPositiveDefiniteError("precision matrix is not positive definite")
-            l22 = math.sqrt(d2)
-            y0 = j0 / l00
-            y1 = (j1 - l10 * y0) / l11
-            self._factors = (y1, (j2 - l20 * y0 - l21 * y1) / l22, l11, l21, l22)
-        return self._factors
+        """(y1, y2, l11, l21, l22) of the draw, factored from the posterior."""
+        p00, p01, p02, p11, p12, p22, j0, j1, j2 = self._pj
+        # A pivot that is not positive is retried once with 1e-10 added
+        # to the diagonal, against rounding on a positive definite P.
+        for eps in (0.0, 1e-10):
+            if (d0 := p00 + eps) > 0.0:
+                l00 = math.sqrt(d0)
+                l10, l20 = p01 / l00, p02 / l00
+                if (d1 := p11 + eps - l10 * l10) > 0.0:
+                    l11 = math.sqrt(d1)
+                    l21 = (p12 - l20 * l10) / l11
+                    if (d2 := p22 + eps - l20 * l20 - l21 * l21) > 0.0:
+                        break
+        else:
+            raise NotPositiveDefiniteError("precision matrix is not positive definite")
+        l22 = math.sqrt(d2)
+        y0 = j0 / l00
+        y1 = (j1 - l10 * y0) / l11
+        return y1, (j2 - l20 * y0 - l21 * y1) / l22, l11, l21, l22
 
     def propose(self, rng):
         _, z1, z2 = rng.standard_normal(3).tolist()  # z0 is unused
@@ -318,12 +312,11 @@ class ThompsonQuadraticPolicy(Policy):
         # A (k, 3) block of normals has the bits of k draws of three. Its
         # columns as lists, and propose's arithmetic and argmax_quadratic
         # inlined on local floats, leave a rejected event no call to make.
-        # An accept applies update's sums to local copies of the posterior,
-        # and the first event after it refactors them with _factor's eps = 0
-        # pass, as propose would; a pivot that is not positive is left to
-        # _factor, the one home of the retry and the error. The state is
-        # written back however the loop ends, so the cache ends where a
-        # per-event loop leaves it.
+        # An accept applies update's sums to local copies of the posterior.
+        # The first event, and the first after each accept, refactor them
+        # with _factor's eps = 0 pass; a pivot that is not positive is left
+        # to _factor, the one home of the retry and the error. The state is
+        # written back however the loop ends.
         indices, proposals = [], []
         lo, hi, clamp = self.range.lo, self.range.hi, self.clamp_vertex
         s2 = self.sigma2
@@ -331,9 +324,7 @@ class ThompsonQuadraticPolicy(Policy):
         sqrt = math.sqrt
         p00, p01, p02, p11, p12, p22, j0, j1, j2 = self._pj
         t = self.t
-        stale = self._factors is None
-        if not stale:
-            y1, y2, l11, l21, l22 = self._factors
+        stale = True
         try:
             for start in range(0, len(actions), REPLAY_BLOCK):
                 block = actions[start : start + REPLAY_BLOCK].tolist()
@@ -354,7 +345,6 @@ class ThompsonQuadraticPolicy(Policy):
                                     stale = False
                         if stale:
                             self._pj = (p00, p01, p02, p11, p12, p22, j0, j1, j2)
-                            self._factors = None
                             y1, y2, l11, l21, l22 = self._factor()
                             stale = False
                     b2 = (y2 + z2) / l22
@@ -378,7 +368,6 @@ class ThompsonQuadraticPolicy(Policy):
                         stale = True
         finally:
             self._pj, self.t = (p00, p01, p02, p11, p12, p22, j0, j1, j2), t
-            self._factors = None if stale else (y1, y2, l11, l21, l22)
         return indices, proposals
 
     def update(self, action, reward):
@@ -391,7 +380,6 @@ class ThompsonQuadraticPolicy(Policy):
             p11 + a2 / s2, p12 + action * a2 / s2, p22 + a2 * a2 / s2,
             j0 + reward / s2, j1 + reward * action / s2, j2 + reward * a2 / s2,
         )
-        self._factors = None
         super().update(action, reward)
 
 

@@ -75,15 +75,6 @@ class ParabolaModel(_Surface):
     def optimum(self) -> tuple[float, float]:
         return self.peak, 0.0
 
-    def describe(self) -> dict:
-        return {
-            "family": "parabola",
-            "peak": self.peak,
-            "scale": self.scale,
-            "noise_var": self.noise_var,
-            "range": [self.range.lo, self.range.hi],
-        }
-
 
 @dataclass(frozen=True)
 class BimodalQuarticModel(_Surface):
@@ -137,18 +128,6 @@ class BimodalQuarticModel(_Surface):
 
     def optimum(self) -> tuple[float, float]:
         return self._optimum
-
-    def describe(self) -> dict:
-        return {
-            "family": "bimodal",
-            "m1": self.m1,
-            "m0": self.m0,
-            "m2": self.m2,
-            "k": self.k,
-            "c": self.c,
-            "noise_var": self.noise_var,
-            "range": [self.range.lo, self.range.hi],
-        }
 
 
 RewardModel = ParabolaModel | BimodalQuarticModel

@@ -38,7 +38,10 @@ def run_demo(tmp_path, script, *args, hash_seed="0"):
     ids=["reward_surfaces", "online_simulation", "field_ingest"],
 )
 def test_demo_runs(tmp_path, script, args):
-    assert run_demo(tmp_path, script, *args)
+    out = run_demo(tmp_path, script, *args)
+    assert out
+    if script == "reward_surfaces.py":
+        assert "ParabolaModel(peak=" in out and "BimodalQuarticModel(m1=" in out
 
 
 def test_offline_sweep_independent_of_hash_seed(tmp_path):

@@ -261,14 +261,22 @@ class TestThompsonQuadratic:
         assert np.max(np.abs(emp_sigma - sigma)) < 1e-10
 
     def test_zero_draw_follows_each_update(self):
-        # The cached factor is dropped at every update: the unclamped
-        # zero-draw action is the posterior mean's vertex after each one.
+        # Each proposal factors the current posterior: the unclamped
+        # zero-draw action is the posterior mean's vertex after each update.
         rng = np.random.default_rng(5)
         p = ThompsonQuadraticPolicy(UNIT, clamp_vertex=False)
         for a in rng.uniform(0, 1, 30).tolist():
             p.update(a, -((a - 0.3) ** 2))
             mu, _ = p.posterior()
             assert p.propose(ZeroNormalRng()) == pytest.approx(-mu[1] / (2 * mu[2]), rel=1e-9)
+
+    def test_factor_stores_nothing(self):
+        p = ThompsonQuadraticPolicy(UNIT, sigma2=0.7)
+        p.update(0.3, 1.0)
+        before = dict(vars(p))
+        first = p._factor()
+        assert vars(p) == before
+        assert p._factor() == first
 
     def test_precision_quadratic_form_monotone(self):
         rng = np.random.default_rng(9)
@@ -290,7 +298,7 @@ class TestEpsilonFirst:
             a = p.propose(rng)
             assert 0.0 <= a <= 1.0
             p.update(a, -((a - 0.4) ** 2))
-        assert p.fitted is not None
+        assert p.exploit_action is not None
         frozen = p.propose(rng)
         for _ in range(20):
             p.update(frozen, -1.0)
@@ -298,7 +306,7 @@ class TestEpsilonFirst:
 
     def test_fit_absent_during_exploration(self):
         p = EpsilonFirstPolicy(UNIT, explore_steps=5)
-        assert p.fitted is None and p.exploit_action is None
+        assert p.exploit_action is None
 
     def test_degenerate_history_raises_at_transition(self):
         p = EpsilonFirstPolicy(UNIT, explore_steps=3)
