@@ -196,7 +196,7 @@ class ExperimentConfig:
 def parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:  # a repeated key or section, a line without "="
         raise ConfigError(str(exc)) from None
     except UnicodeDecodeError as exc:

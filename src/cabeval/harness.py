@@ -195,7 +195,7 @@ def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, st
 
 
 def _write_aggregate_csv(path, agg: RunAggregate) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "mean", "se", "n"])
         # csv writes floats with str(), which equals repr() and gives "nan" for NaN.
@@ -242,7 +242,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         table = rank_at(named, config.t_eval, metric)
         rank_tables[delta] = table
         rank_path = os.path.join(config.out_dir, f"rank_{config.mode}{suffix}.csv")
-        with open(rank_path, "w", newline="") as fh:
+        with open(rank_path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(table.to_rows())
 
     manifest = {
@@ -255,7 +255,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         "errors": errors,
         "metric": metric,
     }
-    with open(os.path.join(config.out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(config.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -169,7 +169,7 @@ STREAM_HEADER = ["index", "action", "reward"]
 
 
 def save_stream(stream: LoggedStream, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(STREAM_HEADER)
         for i, (a, r) in enumerate(zip(stream.actions.tolist(), stream.rewards.tolist())):
@@ -187,7 +187,7 @@ def load_stream(path, action_range: ActionRange) -> LoggedStream:
     rewards: list[float] = []
     last_index = -1
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

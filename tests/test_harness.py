@@ -619,14 +619,16 @@ class TestRunExperiment:
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args):
-    """Run a fresh interpreter with the checkout's ``src`` on its path."""
-    env = dict(os.environ)
+def run_python(*args, cwd=None, **env_overrides):
+    """Run a fresh interpreter in ``cwd`` with the checkout's ``src`` on its
+    path and ``env_overrides`` in its environment."""
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
@@ -634,8 +636,23 @@ def run_python(*args):
     )
 
 
-def run_cli(*args):
-    return run_python("-m", "cabeval.cli", *args)
+def run_cli(*args, cwd=None, **env_overrides):
+    return run_python("-m", "cabeval.cli", *args, cwd=cwd, **env_overrides)
+
+
+def write_ingest_case(workdir, bom=b""):
+    """Write a small ingest config and the log it names, relative to
+    ``workdir``, each file starting with ``bom``; return the config path."""
+    workdir.mkdir()
+    model = ParabolaModel(peak=0.4, scale=1.0, noise_var=0.01, range=UNIT)
+    save_stream(generate_logged_stream(model, 300, np.random.default_rng(3)), workdir / "s.csv")
+    (workdir / "stream.csv").write_bytes(bom + (workdir / "s.csv").read_bytes())
+    config = workdir / "exp.ini"
+    config.write_bytes(
+        bom + b"[experiment]\n# r\xc3\xa9sum\xc3\xa9: a UTF-8 comment\nmode = ingest\n"
+        b"stream = stream.csv\ndeltas = 0.1\nrepetitions = 3\nt_eval = 5\nout = out\n"
+    )
+    return config
 
 
 class TestCli:
@@ -738,6 +755,39 @@ class TestCli:
         assert done.returncode == 2
         assert done.stderr.startswith(f"config error: {config_path}: 'utf-8' codec")
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+    def test_run_in_ascii_locale_matches_default(self, tmp_path):
+        # The config's one non-ASCII line is a comment; an ASCII locale used
+        # to fail to decode it.
+        outs = []
+        for name, env in [
+            ("ascii", {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}),
+            ("default", {}),
+        ]:
+            config = write_ingest_case(tmp_path / name)
+            done = run_cli("run", "--config", str(config), cwd=config.parent, **env)
+            assert done.returncode == 0, done.stderr
+            outs.append(read_all(tmp_path / name / "out"))
+        assert outs[0] == outs[1]
+
+    def test_run_bom_config_and_stream(self, tmp_path, monkeypatch, capsys):
+        # A BOM used to fail the config with no section header and the
+        # stream with a header of '\ufeffindex'.
+        outs = []
+        for name, bom in [("bom", b"\xef\xbb\xbf"), ("plain", b"")]:
+            config = write_ingest_case(tmp_path / name, bom)
+            monkeypatch.chdir(tmp_path / name)
+            assert cli_main(["run", "--config", str(config)]) == 0
+            outs.append(read_all(tmp_path / name / "out"))
+        assert outs[0] == outs[1]
+
+    def test_run_opens_no_file_in_locale_encoding(self, tmp_path):
+        config = write_ingest_case(tmp_path / "w")
+        done = run_python(
+            "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "cabeval.cli", "run", "--config", str(config), cwd=config.parent,
+        )
+        assert done.returncode == 0, done.stderr
 
     # Each file used to escape parse_config as a configparser error; the
     # message names the line.
