@@ -68,24 +68,24 @@ def versions():
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def digests(case, workdir):
-    """Run ``case`` in ``workdir``, the current directory, and return the
-    sha256 of every file it wrote. The manifest echoes the stream path,
-    so the log is named relative to the directory."""
+def digests(case):
+    """Run ``case`` in the current directory and return the sha256 of every
+    file it wrote. The manifest echoes the stream path, so the log is named
+    relative to the directory."""
     lines, log_family = CASES[case]
     if log_family is not None:
         model = make_model(log_family, np.random.default_rng(3), ActionRange(0.0, 1.0), 0.01)
         save_stream(generate_logged_stream(model, 2000, np.random.default_rng(4)), "stream.csv")
         lines += "stream = stream.csv\n"
-    config = Path(workdir) / "exp.ini"
+    config = Path("exp.ini")
     config.write_text(
         f"[experiment]\n{lines}repetitions = 4\nmaster_seed = 17\nt_eval = 20\n"
         f"out = out\npolicies = UR, EF, TBL, TBL2, LiF\n{POLICIES}",
         encoding="utf-8",
     )
     run_experiment(parse_config(config))
-    written = [Path(workdir) / "stream.csv"] if log_family else []
-    written += sorted((Path(workdir) / "out").iterdir())
+    written = [Path("stream.csv")] if log_family else []
+    written += sorted(Path("out").iterdir())
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
 
 
@@ -93,7 +93,7 @@ def digests(case, workdir):
 def test_out_digests_match_record(case, tmp_path, monkeypatch):
     record = json.loads(RECORD.read_text(encoding="utf-8"))
     monkeypatch.chdir(tmp_path)
-    got = digests(case, tmp_path)
+    got = digests(case)
     changed = sorted(
         name for name in got.keys() | record["digests"][case].keys()
         if got.get(name) != record["digests"][case].get(name)
@@ -111,7 +111,7 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as workdir:
             os.chdir(workdir)
             try:
-                record["digests"][case] = digests(case, workdir)
+                record["digests"][case] = digests(case)
             finally:
                 os.chdir(cwd)
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")

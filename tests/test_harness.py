@@ -645,8 +645,9 @@ def write_ingest_case(workdir, bom=b""):
     ``workdir``, each file starting with ``bom``; return the config path."""
     workdir.mkdir()
     model = ParabolaModel(peak=0.4, scale=1.0, noise_var=0.01, range=UNIT)
-    save_stream(generate_logged_stream(model, 300, np.random.default_rng(3)), workdir / "s.csv")
-    (workdir / "stream.csv").write_bytes(bom + (workdir / "s.csv").read_bytes())
+    stream = workdir / "stream.csv"
+    save_stream(generate_logged_stream(model, 300, np.random.default_rng(3)), stream)
+    stream.write_bytes(bom + stream.read_bytes())
     config = workdir / "exp.ini"
     config.write_bytes(
         bom + b"[experiment]\n# r\xc3\xa9sum\xc3\xa9: a UTF-8 comment\nmode = ingest\n"
@@ -770,7 +771,7 @@ class TestCli:
             outs.append(read_all(tmp_path / name / "out"))
         assert outs[0] == outs[1]
 
-    def test_run_bom_config_and_stream(self, tmp_path, monkeypatch, capsys):
+    def test_run_bom_config_and_stream(self, tmp_path, monkeypatch):
         # A BOM used to fail the config with no section header and the
         # stream with a header of '\ufeffindex'.
         outs = []
