@@ -67,12 +67,12 @@ def main() -> None:
         print(f"  {key:<16} {np.mean(counts[key]):7.1f}")
 
     table = result.rank_tables[0.1]
-    print(f"\ncumulative reward at t={table.t_eval} (higher is better):")
+    print(f"\ncumulative reward at t={config.t_eval} (higher is better):")
     for entry in table.entries:
         print(f"  {entry.rank}. {entry.policy:<4} {entry.value:8.3f}")
     for name in table.unavailable:
         print(f"     {name:<4} n/a (too few surviving repetitions)")
-    print(f"\nartifacts written to {result.out_dir}")
+    print(f"\nartifacts written to {config.out_dir}")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ def main() -> None:
             f"  {entry.rank}. {entry.policy:<4} {entry.value:8.2f} "
             f"(+/- {band:.2f}, tie group {entry.tie_group})"
         )
-    print(f"artifacts written to {result.out_dir}")
+    print(f"artifacts written to {config.out_dir}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ placed directly, so the optimum is known analytically. Run with:
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -21,6 +22,13 @@ def main() -> None:
 
     action_range = ActionRange(0.0, 1.0)
     grid = action_range.grid(10_001)
+    # The sparkline's levels, low to high: block characters, or an ASCII
+    # ramp where stdout cannot encode them (as in the C locale).
+    bars = "▁▂▃▄▅▆▇█"
+    try:
+        bars.encode(sys.stdout.encoding or "utf-8")
+    except UnicodeEncodeError:
+        bars = "_.-:=+*#"
 
     for family in ("parabola", "bimodal"):
         print(f"=== {family} family ===")
@@ -37,7 +45,6 @@ def main() -> None:
             # A coarse sparkline of the mean surface.
             coarse = model.mean(np.linspace(0, 1, 13))
             lo, hi = coarse.min(), coarse.max()
-            bars = "▁▂▃▄▅▆▇█"
             idx = np.clip(
                 ((coarse - lo) / (hi - lo + 1e-12) * (len(bars) - 1)).astype(int),
                 0,

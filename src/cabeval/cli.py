@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         overrides["mode"] = args.mode
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.out:
+    if args.out is not None:
         overrides["out_dir"] = args.out
     if overrides:
         try:
@@ -84,9 +84,10 @@ def main(argv=None) -> int:
     except (OSError, StreamFormatError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote results to {result.out_dir}")
-    if result.errors:
-        print(f"{len(result.errors)} run(s) failed; see manifest.json", file=sys.stderr)
+    print(f"wrote results to {config.out_dir}")
+    errors = result.manifest["errors"]
+    if errors:
+        print(f"{len(errors)} run(s) failed; see manifest.json", file=sys.stderr)
     return 0
 
 

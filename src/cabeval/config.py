@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode == "ingest" and not self.stream_path:
             raise ConfigError("ingest mode requires a stream path")
+        if not self.out_dir:
+            raise ConfigError("out must name an output directory")
         if self.t_eval < 1:
             raise ConfigError("t_eval must be positive")
         # No online or offline run reaches a later step, so every rank table

@@ -18,7 +18,7 @@ import os
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -100,19 +100,14 @@ class RunResult:
     aggregates: dict[tuple[str, float | None], RunAggregate]
     rank_tables: dict[float | None, RankTable]
     manifest: dict
-    out_dir: str = ""
-    errors: list = field(default_factory=list)
-
-
-def _curve_key(policy: str, delta: float | None) -> str:
-    return policy if delta is None else f"{policy}@delta={delta:g}"
 
 
 def _repetition(
     config: ExperimentConfig, sweep: list, stream: LoggedStream | None, rep: int
 ):
     """One repetition: a fresh policy per (delta, policy) of the sweep,
-    played online (delta None) or replayed over the log.
+    played online (delta None) or replayed over the log. Each curve is
+    keyed by (policy, delta, repetition).
 
     Online and offline repetitions draw a fresh model, and offline ones a
     fresh log from it. Ingest replays the loaded log; its surface is
@@ -156,7 +151,7 @@ def _repetition(
                     )
                 else:
                     trace = replay_cab(policy, stream, ReplayConfig(delta), proposal_rng)
-                curves[spec.name, delta] = (
+                curves[spec.name, delta, rep] = (
                     cumulative_reward(trace)
                     if model is None
                     else cumulative_regret(trace, model, config.realized_regret)
@@ -185,13 +180,12 @@ def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, st
             results = list(pool.map(run, reps, chunksize=REPS_PER_TASK))
     else:
         results = map(run, reps)
-    per_key_curves: dict[tuple[str, float | None], list] = {}
+    curves: dict[tuple[str, float | None, int], np.ndarray] = {}
     errors: list = []
-    for curves, errs in results:
-        for key, curve in curves.items():
-            per_key_curves.setdefault(key, []).append(curve)
-        errors.extend(errs)
-    return per_key_curves, errors
+    for rep_curves, rep_errors in results:
+        curves.update(rep_curves)
+        errors.extend(rep_errors)
+    return curves, errors
 
 
 def _write_aggregate_csv(path, agg: RunAggregate) -> None:
@@ -221,16 +215,26 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     os.makedirs(config.out_dir, exist_ok=True)
 
     sweep: list[float | None] = [None] if config.mode == "online" else list(config.deltas)
-    per_key_curves, errors = _collect_repetitions(config, sweep, workers, stream)
+    curves, errors = _collect_repetitions(config, sweep, workers, stream)
 
     metric = "reward" if config.mode == "ingest" else "regret"
     aggregates: dict[tuple[str, float | None], RunAggregate] = {}
     rank_tables: dict[float | None, RankTable] = {}
+    accepted_counts: dict[str, list[int]] = {}
     for delta in sweep:
         suffix = "" if delta is None else f"_delta{delta:g}"
         named = {}
         for spec in config.policies:
-            agg = aggregate_runs(per_key_curves.get((spec.name, delta), []))
+            runs = [
+                curves[key]
+                for rep in range(config.repetitions)
+                if (key := (spec.name, delta, rep)) in curves
+            ]
+            if runs:
+                # Each curve is a running sum over its run's accepts.
+                label = spec.name if delta is None else f"{spec.name}@delta={delta:g}"
+                accepted_counts[label] = list(map(len, runs))
+            agg = aggregate_runs(runs)
             aggregates[spec.name, delta] = named[spec.name] = agg
             _write_aggregate_csv(
                 os.path.join(
@@ -247,11 +251,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
     manifest = {
         "config": config.echo(),
-        # Each curve is a running sum over its run's accepts.
-        "accepted_counts": {
-            _curve_key(policy, delta): list(map(len, cs))
-            for (policy, delta), cs in per_key_curves.items()
-        },
+        "accepted_counts": accepted_counts,
         "errors": errors,
         "metric": metric,
     }
@@ -259,10 +259,4 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    return RunResult(
-        aggregates=aggregates,
-        rank_tables=rank_tables,
-        manifest=manifest,
-        out_dir=config.out_dir,
-        errors=errors,
-    )
+    return RunResult(aggregates=aggregates, rank_tables=rank_tables, manifest=manifest)

@@ -85,8 +85,6 @@ class RankEntry:
 class RankTable:
     """Policy ordering at a fixed evaluation step, with explicit tie groups."""
 
-    t_eval: int
-    metric: str
     entries: tuple[RankEntry, ...]
     unavailable: tuple[str, ...]
 
@@ -132,9 +130,4 @@ def rank_at(aggregates: dict[str, RunAggregate], t_eval: int, metric: str = "reg
             group += 1
         entries.append(RankEntry(name, value, se, rank, group))
         prev_band = band
-    return RankTable(
-        t_eval=t_eval,
-        metric=metric,
-        entries=tuple(entries),
-        unavailable=tuple(sorted(unavailable)),
-    )
+    return RankTable(entries=tuple(entries), unavailable=tuple(sorted(unavailable)))

@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_demo(tmp_path, script, *args, hash_seed="0"):
-    env = dict(os.environ)
+def run_demo(tmp_path, script, *args, hash_seed="0", **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -29,16 +29,19 @@ def run_demo(tmp_path, script, *args, hash_seed="0"):
 
 
 @pytest.mark.parametrize(
-    "script, args",
+    "script, args, env",
     [
-        ("reward_surfaces.py", []),
-        ("online_simulation.py", ["--reps", "2", "--horizon", "300"]),
-        ("field_ingest.py", ["--reps", "3"]),
+        ("reward_surfaces.py", [], {}),
+        # An ASCII stdout, where the block-character sparkline used to end
+        # the demo with a UnicodeEncodeError.
+        ("reward_surfaces.py", [], {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}),
+        ("online_simulation.py", ["--reps", "2", "--horizon", "300"], {}),
+        ("field_ingest.py", ["--reps", "3"], {}),
     ],
-    ids=["reward_surfaces", "online_simulation", "field_ingest"],
+    ids=["reward_surfaces", "reward_surfaces-ascii-locale", "online_simulation", "field_ingest"],
 )
-def test_demo_runs(tmp_path, script, args):
-    out = run_demo(tmp_path, script, *args)
+def test_demo_runs(tmp_path, script, args, env):
+    out = run_demo(tmp_path, script, *args, **env)
     assert out
     if script == "reward_surfaces.py":
         assert "ParabolaModel(peak=" in out and "BimodalQuarticModel(m1=" in out

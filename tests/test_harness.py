@@ -25,6 +25,7 @@ from cabeval.harness import (
     run_experiment,
     simulate_online,
 )
+from cabeval.metrics import aggregate_runs
 from cabeval.policies import (
     ConstantPolicy,
     EpsilonFirstPolicy,
@@ -71,6 +72,25 @@ out = {out}
 
 [policy.EF]
 explore_steps = 3
+"""
+
+# LiF's centre walks off these bimodal surfaces, so its online run fails
+# in repetitions 1, 3, 4, 5 and 7 at master seed 0.
+LIF_FAILS = """\
+[experiment]
+mode = online
+family = bimodal
+repetitions = 8
+horizon = 4097
+master_seed = 0
+out = {out}
+policies = UR, LiF
+
+[policy.LiF]
+window = 3
+omega = 0.7
+gamma = 0.9
+amplitude = 0.2
 """
 
 # One bad value per line; each used to pass validation and then fail in
@@ -230,8 +250,13 @@ class TestParseConfig:
                 "[policy.X]\nkind = Foo\n",
                 "policy 'X': unknown kind 'Foo'",
             ),
+            # validate printed ok, and run failed on the empty path
+            (
+                "[experiment]\nmode = online\nfamily = parabola\nout =\n",
+                "out must name an output directory",
+            ),
         ],
-        ids=["unknown-family", "no-experiment", "unknown-kind"],
+        ids=["unknown-family", "no-experiment", "unknown-kind", "empty-out"],
     )
     def test_rejected_config_names_the_fault(self, tmp_path, body, match):
         with pytest.raises(ConfigError, match=match):
@@ -355,7 +380,7 @@ class TestRunExperiment:
                 write_config(tmp_path, ONLINE_SMALL.format(out=out))
             )
             result = run_experiment(config)
-            assert not result.errors
+            assert not result.manifest["errors"]
         files1, files2 = read_all(out1), read_all(out2)
         assert set(files1) == {
             "aggregate_online_UR.csv",
@@ -391,7 +416,7 @@ class TestRunExperiment:
         assert len(ranks) == 5
         assert "aggregate_offline_TBL_delta0.3.csv" in names
         assert "rank_offline_delta0.5.csv" in names
-        assert not result.errors
+        assert not result.manifest["errors"]
 
     def test_offline_curves_shorter_than_log(self, tmp_path):
         out = tmp_path / "r"
@@ -457,19 +482,44 @@ class TestRunExperiment:
         assert manifest["errors"] == []
 
     def test_workers_do_not_change_output(self, tmp_path):
-        outs = []
+        # Nine repetitions make two pool tasks, so two workers both run.
+        body = OFFLINE_SMALL.replace("repetitions = 3", "repetitions = 9")
+        outs, collected = [], []
         for i, workers in enumerate((1, 2)):
             out = tmp_path / f"w{i}"
-            config = parse_config(
-                write_config(tmp_path, OFFLINE_SMALL.format(out=out), f"c{i}.ini")
-            )
+            config = parse_config(write_config(tmp_path, body.format(out=out), f"c{i}.ini"))
             run_experiment(config, workers=workers)
             outs.append(out)
+            collected.append(
+                harness._collect_repetitions(config, list(config.deltas), workers, None)
+            )
         files1, files2 = read_all(outs[0]), read_all(outs[1])
         assert set(files1) == set(files2)
         for name in files1:
             if name != "manifest.json":
                 assert files1[name] == files2[name], name
+        (curves1, errors1), (curves2, errors2) = collected
+        assert len(curves1) == 9 * 5 * 4 and curves1.keys() == curves2.keys()
+        for key, curve in curves1.items():
+            assert np.array_equal(curve, curves2[key]), key
+        assert errors1 == errors2
+
+    def test_failed_repetition_keeps_others_indexed(self, tmp_path):
+        config = parse_config(write_config(tmp_path, LIF_FAILS.format(out=tmp_path / "r")))
+        curves, errors = harness._collect_repetitions(config, [None], 1, None)
+        assert [(e["policy"], e["repetition"]) for e in errors] == [
+            ("LiF", rep) for rep in (1, 3, 4, 5, 7)
+        ]
+        assert {key for key in curves if key[0] == "LiF"} == {
+            ("LiF", None, rep) for rep in (0, 2, 6)
+        }
+        assert {key for key in curves if key[0] == "UR"} == {("UR", None, rep) for rep in range(8)}
+        result = run_experiment(config)
+        got = result.aggregates["LiF", None]
+        expected = aggregate_runs([curves["LiF", None, rep] for rep in (0, 2, 6)])
+        assert got.run_count == expected.run_count == 3
+        for name in ("mean", "se", "n"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
     @pytest.mark.parametrize("repetitions, pool_size", [(1, 1), (9, 2), (40, 4)])
     def test_pool_capped_at_task_count(self, tmp_path, monkeypatch, repetitions, pool_size):
@@ -520,7 +570,7 @@ class TestRunExperiment:
             )
         )
         result = run_experiment(config)
-        assert not result.errors
+        assert not result.manifest["errors"]
         assert result.manifest["metric"] == "reward"
         names = set(read_all(out))
         assert names == {
@@ -575,8 +625,8 @@ class TestRunExperiment:
         result = run_experiment(config)
         # The run as a whole completes and writes artifacts either way.
         assert (out / "manifest.json").exists()
-        assert result.errors
-        for err in result.errors:
+        assert result.manifest["errors"]
+        for err in result.manifest["errors"]:
             assert err["policy"] == "EF"
             assert err["type"] == "RankDeficiencyError"
         assert len(result.manifest["accepted_counts"]["UR@delta=0.0005"]) == 30
@@ -603,7 +653,7 @@ class TestRunExperiment:
             )
         )
         result = run_experiment(config)
-        assert result.errors == [
+        assert result.manifest["errors"] == [
             {
                 "repetition": rep,
                 "policy": "EF",
@@ -613,7 +663,7 @@ class TestRunExperiment:
             for rep in range(3)
         ]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["errors"] == result.errors
+        assert manifest["errors"] == result.manifest["errors"]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -683,6 +733,14 @@ class TestCli:
         config_path = write_config(tmp_path, ONLINE_SMALL.format(out=out))
         assert cli_main(["run", "--config", config_path, "--seed", "-5"]) == 2
         assert "config error: master_seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_empty_out_exit_2(self, tmp_path, capsys):
+        # An empty --out used to be ignored, so the run wrote to the config's out.
+        out = tmp_path / "o"
+        config_path = write_config(tmp_path, ONLINE_SMALL.format(out=out))
+        assert cli_main(["run", "--config", config_path, "--out", ""]) == 2
+        assert "config error: out must name an output directory" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["online", "offline"])
