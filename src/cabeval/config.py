@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -171,6 +172,12 @@ class ExperimentConfig:
         names = [spec.name for spec in self.policies]
         if len(set(names)) < len(names):
             raise ConfigError(f"policy names must not repeat, got {', '.join(names)}")
+        # A policy's name is part of its aggregate CSV's file name.
+        for name in names:
+            if any(ch and ch in name for ch in (os.sep, os.altsep, "\0")):
+                raise ConfigError(
+                    f"policy name {name!r} must not contain a path separator or NUL"
+                )
         # Build each policy once, so a bad value fails here and not in
         # every repetition. No generator: numpy imports its random module
         # on first use, which costs set-up time and memory.

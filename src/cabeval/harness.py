@@ -17,7 +17,6 @@ import math
 import os
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -50,6 +49,7 @@ ROLE_PROPOSAL = 3
 ROLE_REWARD = 4
 
 REPS_PER_TASK = 8  # repetitions per pool task
+CSV_BLOCK_ROWS = 1024  # aggregate CSV rows formatted per write
 
 
 def derive_rng(
@@ -173,10 +173,15 @@ def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, st
     # Both maps return results in repetition order, whatever the scheduling.
     run = partial(_repetition, config, sweep, stream)
     reps = range(config.repetitions)
-    if workers > 1:
-        # A worker beyond the number of tasks would get no work.
-        tasks = math.ceil(config.repetitions / REPS_PER_TASK)
-        with ProcessPoolExecutor(max_workers=min(workers, tasks)) as pool:
+    # A worker beyond the number of tasks would get no work, and a pool of
+    # one would only pickle the config, the log and every curve.
+    pool_size = min(workers, math.ceil(config.repetitions / REPS_PER_TASK))
+    if pool_size >= 2:
+        # Imported here: it loads multiprocessing, which a run in this
+        # process does not need.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(run, reps, chunksize=REPS_PER_TASK))
     else:
         results = map(run, reps)
@@ -189,12 +194,19 @@ def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, st
 
 
 def _write_aggregate_csv(path, agg: RunAggregate) -> None:
+    """Write the ``t,mean,se,n`` rows as ``csv.writer`` would, one block
+    of ``CSV_BLOCK_ROWS`` rows per ``str.format`` call. csv writes a float
+    with str(), as "{}" formats it: its repr, "nan" for NaN."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean", "se", "n"])
-        # csv writes floats with str(), which equals repr() and gives "nan" for NaN.
-        t = range(1, len(agg.n) + 1)
-        writer.writerows(zip(t, agg.mean.tolist(), agg.se.tolist(), agg.n.tolist()))
+        fh.write("t,mean,se,n\r\n")
+        for start in range(0, len(agg.n), CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, len(agg.n))
+            fields = [None] * (4 * (stop - start))
+            fields[0::4] = range(start + 1, stop + 1)
+            fields[1::4] = agg.mean[start:stop].tolist()
+            fields[2::4] = agg.se[start:stop].tolist()
+            fields[3::4] = agg.n[start:stop].tolist()
+            fh.write(("{},{},{},{}\r\n" * (stop - start)).format(*fields))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:

@@ -14,6 +14,7 @@ from .replay import Trace
 from .rewards import RewardModel
 
 CONFIDENCE_Z = 1.96  # 95% band multiplier
+AGGREGATE_BLOCK_VALUES = 2**15  # padded values per aggregation block
 
 
 def cumulative_regret(
@@ -56,18 +57,36 @@ def aggregate_runs(curves) -> RunAggregate:
     long enough to reach it (the survivors). Standard error is undefined
     (NaN) where fewer than two curves survive. No curves, or only empty
     ones, give empty arrays.
+
+    The curves are NaN-padded into a repetitions x steps matrix one block
+    of about ``AGGREGATE_BLOCK_VALUES`` values, and at least two steps, at
+    a time, so memory stays flat as curves and steps are added. The result
+    equals that of the whole padded matrix bit for bit.
     """
     curves = [np.asarray(c, dtype=float) for c in curves]
     max_len = max(map(len, curves), default=0)
-    mat = np.full((len(curves), max_len), np.nan)
-    for i, c in enumerate(curves):
-        mat[i, : len(c)] = c
-    n = np.sum(~np.isnan(mat), axis=0)
-    mean = np.nanmean(mat, axis=0)
+    mean = np.empty(max_len)
     sd = np.full(max_len, np.nan)
-    enough = n >= 2
-    if np.any(enough):
-        sd[enough] = np.nanstd(mat[:, enough], axis=0, ddof=1)
+    n = np.empty(max_len, dtype=int)
+    width = max(2, AGGREGATE_BLOCK_VALUES // max(len(curves), 1))
+    starts = list(range(0, max_len, width))
+    # numpy sums a one-column matrix pairwise down the column, and a wider
+    # one row by row, so a last block of one column joins the one before.
+    if len(starts) > 1 and max_len - starts[-1] == 1:
+        del starts[-1]
+    for start, stop in zip(starts, starts[1:] + [max_len]):
+        # Every curve keeps its row, even one that ends before the block:
+        # numpy sums the gathered n >= 2 columns pairwise down each column,
+        # and a missing row would change the pairs.
+        block = np.full((len(curves), stop - start), np.nan)
+        for row, c in zip(block, curves):
+            part = c[start:stop]
+            row[: len(part)] = part
+        n[start:stop] = np.sum(~np.isnan(block), axis=0)
+        mean[start:stop] = np.nanmean(block, axis=0)
+        enough = n[start:stop] >= 2
+        if np.any(enough):
+            sd[start:stop][enough] = np.nanstd(block[:, enough], axis=0, ddof=1)
     se = sd / np.sqrt(n)
     return RunAggregate(mean=mean, se=se, n=n, run_count=len(curves))
 

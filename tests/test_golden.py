@@ -44,23 +44,30 @@ sigma2 = 0.1
 clamp_vertex = false
 """
 
-# Each case: its [experiment] lines, and the family of the log an ingest
-# case writes to stream.csv before the run (None for no log).
+# Each case: its [experiment] lines, the family of the log an ingest case
+# writes to stream.csv before the run (None for no log), and its repetition
+# count. Aggregation works on blocks of 2**15 // repetitions steps, 992 at 33
+# repetitions, so "offline-blocks" has curves that end on either side of
+# the first block's end at delta 0.3 and in the first block at 0.05.
 CASES = {
-    "online-parabola": ("mode = online\nfamily = parabola\nhorizon = 300\n", None),
+    "online-parabola": ("mode = online\nfamily = parabola\nhorizon = 300\n", None, 4),
     "online-bimodal-noise-free": (
-        "mode = online\nfamily = bimodal\nhorizon = 300\nnoise_var = 0\n", None
+        "mode = online\nfamily = bimodal\nhorizon = 300\nnoise_var = 0\n", None, 4
     ),
     "offline-parabola-realized": (
         "mode = offline\nfamily = parabola\nhorizon = 1500\ndeltas = 0.02, 0.1\n"
         "realized_regret = true\n",
         None,
+        4,
     ),
     "offline-bimodal": (
-        "mode = offline\nfamily = bimodal\nhorizon = 1500\ndeltas = 0.05, 0.3\n", None
+        "mode = offline\nfamily = bimodal\nhorizon = 1500\ndeltas = 0.05, 0.3\n", None, 4
     ),
-    "ingest-parabola": ("mode = ingest\ndeltas = 0.05, 0.2\n", "parabola"),
-    "ingest-bimodal": ("mode = ingest\ndeltas = 0.1\n", "bimodal"),
+    "offline-blocks": (
+        "mode = offline\nfamily = parabola\nhorizon = 2000\ndeltas = 0.05, 0.3\n", None, 33
+    ),
+    "ingest-parabola": ("mode = ingest\ndeltas = 0.05, 0.2\n", "parabola", 4),
+    "ingest-bimodal": ("mode = ingest\ndeltas = 0.1\n", "bimodal", 4),
 }
 
 
@@ -72,14 +79,14 @@ def digests(case):
     """Run ``case`` in the current directory and return the sha256 of every
     file it wrote. The manifest echoes the stream path, so the log is named
     relative to the directory."""
-    lines, log_family = CASES[case]
+    lines, log_family, repetitions = CASES[case]
     if log_family is not None:
         model = make_model(log_family, np.random.default_rng(3), ActionRange(0.0, 1.0), 0.01)
         save_stream(generate_logged_stream(model, 2000, np.random.default_rng(4)), "stream.csv")
         lines += "stream = stream.csv\n"
     config = Path("exp.ini")
     config.write_text(
-        f"[experiment]\n{lines}repetitions = 4\nmaster_seed = 17\nt_eval = 20\n"
+        f"[experiment]\n{lines}repetitions = {repetitions}\nmaster_seed = 17\nt_eval = 20\n"
         f"out = out\npolicies = UR, EF, TBL, TBL2, LiF\n{POLICIES}",
         encoding="utf-8",
     )

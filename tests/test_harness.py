@@ -1,3 +1,6 @@
+import concurrent.futures
+import csv
+import io
 import json
 import math
 import os
@@ -19,13 +22,14 @@ from cabeval.config import (
     parse_config,
 )
 from cabeval.harness import (
+    CSV_BLOCK_ROWS,
     ROLE_PROPOSAL,
     ROLE_STREAM,
     derive_rng,
     run_experiment,
     simulate_online,
 )
-from cabeval.metrics import aggregate_runs
+from cabeval.metrics import RunAggregate, aggregate_runs
 from cabeval.policies import (
     ConstantPolicy,
     EpsilonFirstPolicy,
@@ -255,8 +259,15 @@ class TestParseConfig:
                 "[experiment]\nmode = online\nfamily = parabola\nout =\n",
                 "out must name an output directory",
             ),
+            # validate printed ok, and run failed on its aggregate CSV
+            # after every repetition had run
+            (
+                "[experiment]\nmode = online\nfamily = parabola\npolicies = UR, A/B\n\n"
+                "[policy.A/B]\nkind = EF\n",
+                "policy name 'A/B' must not contain a path separator or NUL",
+            ),
         ],
-        ids=["unknown-family", "no-experiment", "unknown-kind", "empty-out"],
+        ids=["unknown-family", "no-experiment", "unknown-kind", "empty-out", "slash-in-name"],
     )
     def test_rejected_config_names_the_fault(self, tmp_path, body, match):
         with pytest.raises(ConfigError, match=match):
@@ -366,6 +377,23 @@ class TestSimulateOnline:
             np.random.default_rng(2),
         )
         assert [math.copysign(1.0, r) for r in trace.rewards] == [-1.0] * 50
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_aggregate_csv_bytes_equal_csv_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-05]
+    mean = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 21, rows)
+    mean[: len(specials)] = specials[:rows]
+    se = np.resize(specials, rows)
+    agg = RunAggregate(mean=mean, se=se, n=rng.integers(0, 1000, rows), run_count=999)
+    path = tmp_path / "aggregate.csv"
+    harness._write_aggregate_csv(path, agg)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "mean", "se", "n"])
+    writer.writerows(zip(range(1, rows + 1), mean.tolist(), se.tolist(), agg.n.tolist()))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def read_all(out_dir):
@@ -521,7 +549,10 @@ class TestRunExperiment:
         for name in ("mean", "se", "n"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
-    @pytest.mark.parametrize("repetitions, pool_size", [(1, 1), (9, 2), (40, 4)])
+    # One task runs in this process: a pool of one would only pickle.
+    @pytest.mark.parametrize(
+        "repetitions, pool_size", [(1, None), (8, None), (9, 2), (40, 4)]
+    )
     def test_pool_capped_at_task_count(self, tmp_path, monkeypatch, repetitions, pool_size):
         # A stand-in pool records its size and maps in this process, so no
         # worker process starts.
@@ -540,14 +571,22 @@ class TestRunExperiment:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = ExperimentConfig(
             family="parabola", repetitions=repetitions, horizon=20, t_eval=10,
             out_dir=str(tmp_path / "r"), policies=(PolicySpec("UR", "UR"),),
         )
         result = run_experiment(config, workers=4)
-        assert sizes == [pool_size]
+        assert sizes == ([] if pool_size is None else [pool_size])
         assert result.manifest["accepted_counts"] == {"UR": [20] * repetitions}
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # Only a run that starts a pool needs it and the multiprocessing it loads.
+        probe = run_python(
+            "-c", "import sys, cabeval; print('concurrent.futures.process' in sys.modules)"
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "False"
 
     def test_ingest_reports_reward_not_regret(self, tmp_path):
         model = ParabolaModel(peak=0.4, scale=1.0, noise_var=0.01, range=UNIT)

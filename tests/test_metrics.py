@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cabeval.metrics import (
+    AGGREGATE_BLOCK_VALUES,
     RunAggregate,
     aggregate_runs,
     cumulative_regret,
@@ -70,6 +73,33 @@ class TestCumulativeCurves:
         assert len(cumulative_regret(trace, PARABOLA)) == trace.T
 
 
+def reference_aggregate_runs(curves) -> RunAggregate:
+    """The whole-matrix aggregation that ``aggregate_runs`` computes one
+    block of steps at a time: every curve NaN-padded into one
+    repetitions x steps matrix."""
+    curves = [np.asarray(c, dtype=float) for c in curves]
+    max_len = max(map(len, curves), default=0)
+    mat = np.full((len(curves), max_len), np.nan)
+    for i, c in enumerate(curves):
+        mat[i, : len(c)] = c
+    n = np.sum(~np.isnan(mat), axis=0)
+    mean = np.nanmean(mat, axis=0)
+    sd = np.full(max_len, np.nan)
+    enough = n >= 2
+    if np.any(enough):
+        sd[enough] = np.nanstd(mat[:, enough], axis=0, ddof=1)
+    se = sd / np.sqrt(n)
+    return RunAggregate(mean=mean, se=se, n=n, run_count=len(curves))
+
+
+def assert_same_bits(got: RunAggregate, expected: RunAggregate):
+    assert got.run_count == expected.run_count
+    for name in ("mean", "se", "n"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestAggregateRuns:
     def test_equal_length_hand_computed(self):
         agg = aggregate_runs([[1.0, 2.0], [3.0, 6.0]])
@@ -102,6 +132,48 @@ class TestAggregateRuns:
         assert agg.mean.size == agg.se.size == agg.n.size == 0
         assert agg.n.dtype.kind == "i"
         assert agg.run_count == len(curves)
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
+    @pytest.mark.parametrize("offset", ["0", "1", "w-1", "w", "w+1", "3w+5"])
+    @pytest.mark.parametrize("repetitions", [1, 2, 8, 9, 33, 300])
+    def test_blocks_match_whole_matrix_bit_for_bit(self, repetitions, offset, ragged):
+        # numpy sums a one-column matrix pairwise and a wider one row by row,
+        # so a length of one block plus one step is the case to watch.
+        w = AGGREGATE_BLOCK_VALUES // repetitions
+        length = {"0": 0, "1": 1, "w-1": w - 1, "w": w, "w+1": w + 1, "3w+5": 3 * w + 5}
+        longest = length[offset]
+        rng = np.random.default_rng(repetitions * 1000 + longest)
+        lengths = np.full(repetitions, longest)
+        if ragged:
+            lengths[1:] = rng.integers(0, longest + 1, repetitions - 1)
+        curves = [np.cumsum(rng.standard_normal(k)) for k in lengths]
+        assert_same_bits(aggregate_runs(curves), reference_aggregate_runs(curves))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("repetitions", [3, 9, 40])
+    def test_signed_zeros_and_infinities_match_whole_matrix(self, repetitions):
+        rng = np.random.default_rng(repetitions)
+        values = np.array([-0.0, 0.0, np.inf, -np.inf, 5e-324, 1e16, 1e-05])
+        w = AGGREGATE_BLOCK_VALUES // repetitions
+        curves = [
+            rng.choice(values[:2] if i % 2 else values, rng.integers(0, 2 * w + 3))
+            for i in range(repetitions)
+        ]
+        assert_same_bits(aggregate_runs(curves), reference_aggregate_runs(curves))
+
+    @pytest.mark.parametrize("repetitions, steps", [(100, 10_000), (1_000, 2_500)])
+    def test_peak_memory_does_not_grow_with_repetitions(self, repetitions, steps):
+        # The whole matrix peaks at about 25 MB and 62 MB here: three and a
+        # half times the curves' own bytes.
+        rng = np.random.default_rng(repetitions)
+        curves = [np.cumsum(rng.random(steps - i % 50)) for i in range(repetitions)]
+        tracemalloc.start()
+        try:
+            aggregate_runs(curves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_standard_normal_sampling_distribution(self):
         rng = np.random.default_rng(2024)
