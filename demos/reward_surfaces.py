@@ -21,7 +21,7 @@ def main() -> None:
     args = parser.parse_args()
 
     action_range = ActionRange(0.0, 1.0)
-    grid = action_range.grid(10_001)
+    grid = np.linspace(action_range.lo, action_range.hi, 10_001)
     # The sparkline's levels, low to high: block characters, or an ASCII
     # ramp where stdout cannot encode them (as in the C locale).
     bars = "▁▂▃▄▅▆▇█"

@@ -152,6 +152,8 @@ class ExperimentConfig:
         # A delta's artifacts and manifest keys are named by its f"{d:g}" label.
         if len({f"{d:g}" for d in self.deltas}) < len(self.deltas):
             raise ConfigError(f"deltas must differ in 6 significant digits, got {self.deltas}")
+        if len({round(d * 1e9) for d in self.deltas}) < len(self.deltas):
+            raise ConfigError(f"deltas must not share a nano-unit seed key, got {self.deltas}")
         if self.mode in ("online", "offline") and self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode == "ingest" and not self.stream_path:

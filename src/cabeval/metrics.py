@@ -22,10 +22,10 @@ def cumulative_regret(
 ) -> np.ndarray:
     """Cumulative regret over the trace's accepted steps.
 
-    By default each increment is the noiseless gap r_star - mean(a_t),
-    which has the same expectation as using realized rewards but lower
-    variance and is non-negative by construction. ``realized=True``
-    substitutes the recorded noisy rewards.
+    By default each increment is the noiseless gap r_star - mean(a_t): of
+    the same expectation as with realized rewards but lower variance, and
+    non-negative up to rounding. ``realized=True`` substitutes the
+    recorded noisy rewards.
     """
     _, r_star = model.optimum()
     if realized:

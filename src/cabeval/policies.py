@@ -264,20 +264,6 @@ class ThompsonQuadraticPolicy(Policy):
         self.clamp_vertex = clamp_vertex
         self._factor()  # a prior that is not positive definite fails here
 
-    @property
-    def J(self) -> np.ndarray:
-        return np.array(self._pj[6:])
-
-    @property
-    def P(self) -> np.ndarray:
-        return np.array(self._pj)[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
-
-    def posterior(self) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior (mu, Sigma) with Sigma = inv(P), mu = Sigma @ J."""
-        self._factor()  # PD check; raises otherwise
-        sigma = np.linalg.inv(self.P)
-        return sigma @ self.J, sigma
-
     def _factor(self) -> tuple[float, ...]:
         """(y1, y2, l11, l21, l22) of the draw, factored from the posterior."""
         p00, p01, p02, p11, p12, p22, j0, j1, j2 = self._pj

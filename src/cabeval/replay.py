@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,9 @@ class ReplayConfig:
 class Trace:
     """Accepted interactions of one replay or online run."""
 
-    stream_indices: list[int] = field(default_factory=list)
-    proposals: list[float] = field(default_factory=list)
-    rewards: list[float] = field(default_factory=list)
+    stream_indices: list[int]
+    proposals: list[float]
+    rewards: list[float]
 
     @property
     def T(self) -> int:
@@ -70,11 +70,6 @@ class Trace:
     @property
     def R_c(self) -> float:
         return sum(self.rewards)
-
-    def append(self, index: int, proposal: float, reward: float) -> None:
-        self.stream_indices.append(index)
-        self.proposals.append(proposal)
-        self.rewards.append(reward)
 
 
 def generate_logged_stream(

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GRID_POINTS = 10_001
-
 
 @dataclass(frozen=True)
 class ActionRange:
@@ -30,9 +28,6 @@ class ActionRange:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def grid(self, n: int = GRID_POINTS) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, n)
 
 
 class _Surface:
@@ -110,13 +105,8 @@ class BimodalQuarticModel(_Surface):
         coeffs = quartic.copy()
         coeffs[-1] += const
         object.__setattr__(self, "_coeffs", tuple(float(x) for x in coeffs))
+        # With k < 0 the mean rises up to m1 and from m0 to m2 and falls elsewhere.
         a_star = self.m1 if self.mean(self.m1) >= self.mean(self.m2) else self.m2
-        # Guard the analytic answer against a dense grid scan.
-        grid = self.range.grid()
-        values = self.mean(grid)
-        j = int(np.argmax(values))
-        if values[j] > self.mean(a_star):
-            a_star = float(grid[j])
         object.__setattr__(self, "_optimum", (a_star, float(self.mean(a_star))))
 
     def mean(self, a):

@@ -23,6 +23,7 @@ from cabeval.replay import (
     save_stream,
 )
 from cabeval.rewards import ActionRange, ParabolaModel
+from helpers import tbl_posterior
 
 UNIT = ActionRange(0.0, 1.0)
 MASTER_SEED = 42
@@ -259,7 +260,7 @@ def test_criterion_07_sequential_equals_batch_posterior():
         policy = ThompsonQuadraticPolicy(UNIT, sigma2=sigma2)
         for ai, ri in zip(a, r):
             policy.update(float(ai), float(ri))
-        mu, sigma = policy.posterior()
+        _, _, mu, sigma = tbl_posterior(policy)
         X = np.column_stack([np.ones(n), a, a**2])
         P = np.diag([2.0, 2.0, 5.0]) + X.T @ X / sigma2
         J = np.array([0.0, 0.05, -0.05]) + X.T @ r / sigma2

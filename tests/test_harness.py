@@ -39,6 +39,7 @@ from cabeval.policies import (
 )
 from cabeval.replay import save_stream, generate_logged_stream
 from cabeval.rewards import ActionRange, ParabolaModel
+from helpers import tbl_posterior
 
 UNIT = ActionRange(0.0, 1.0)
 
@@ -266,8 +267,16 @@ class TestParseConfig:
                 "[policy.A/B]\nkind = EF\n",
                 "policy name 'A/B' must not contain a path separator or NUL",
             ),
+            # validate printed ok, and both deltas ran on one seed key
+            (
+                "[experiment]\nmode = offline\nfamily = parabola\ndeltas = 1.5e-9, 2e-9\n",
+                r"deltas must not share a nano-unit seed key, got \(1\.5e-09, 2e-09\)",
+            ),
         ],
-        ids=["unknown-family", "no-experiment", "unknown-kind", "empty-out", "slash-in-name"],
+        ids=[
+            "unknown-family", "no-experiment", "unknown-kind", "empty-out", "slash-in-name",
+            "shared-seed-key",
+        ],
     )
     def test_rejected_config_names_the_fault(self, tmp_path, body, match):
         with pytest.raises(ConfigError, match=match):
@@ -293,8 +302,9 @@ class TestMakePolicy:
         tbl = policies["TBL"]
         assert isinstance(tbl, ThompsonQuadraticPolicy)
         assert tbl.sigma2 == 1.0 and tbl.clamp_vertex
-        assert tbl.J == pytest.approx([0.0, 0.05, -0.05])
-        assert tbl.P == pytest.approx(np.diag([2.0, 2.0, 5.0]))
+        P, J, _, _ = tbl_posterior(tbl)
+        assert J == pytest.approx([0.0, 0.05, -0.05])
+        assert P == pytest.approx(np.diag([2.0, 2.0, 5.0]))
         lif = policies["LiF"]
         assert isinstance(lif, LockInFeedbackPolicy)
         assert lif.amplitude == 0.05 and lif.window == 50
@@ -318,8 +328,9 @@ class TestMakePolicy:
             "online",
             rng,
         )
-        assert tbl.J.tolist() == [1.0, 2.0, 3.0]
-        assert np.array_equal(tbl.P, np.diag([4.0, 5.0, 6.0]))
+        P, J, _, _ = tbl_posterior(tbl)
+        assert J.tolist() == [1.0, 2.0, 3.0]
+        assert np.array_equal(P, np.diag([4.0, 5.0, 6.0]))
         assert tbl.sigma2 == 0.5 and tbl.clamp_vertex is False
         spec = PolicySpec("LiF", "LiF", {"a0": "0.3", "window": "25"})
         lif = make_policy(spec, UNIT, "online", rng)

@@ -22,10 +22,7 @@ PARABOLA = ParabolaModel(peak=0.5, scale=1.0, noise_var=0.0, range=UNIT)
 
 
 def make_trace(proposals, rewards):
-    trace = Trace()
-    for i, (p, r) in enumerate(zip(proposals, rewards)):
-        trace.append(i, p, r)
-    return trace
+    return Trace(list(range(len(proposals))), list(proposals), list(rewards))
 
 
 class TestCumulativeCurves:
@@ -51,7 +48,7 @@ class TestCumulativeCurves:
         assert out[-1] == trace.R_c
 
     def test_empty_trace_gives_empty_curves(self):
-        trace = Trace()
+        trace = Trace([], [], [])
         assert len(cumulative_regret(trace, PARABOLA)) == 0
         assert len(cumulative_reward(trace)) == 0
 

@@ -19,6 +19,7 @@ from cabeval.policies import (
 )
 from cabeval.harness import simulate_online
 from cabeval.rewards import ActionRange, ParabolaModel
+from helpers import tbl_posterior
 
 UNIT = ActionRange(0.0, 1.0)
 
@@ -215,14 +216,15 @@ class TestSampleMvn:
                 features = np.array([1.0, a, a * a])
                 J += r * features / sigma2
                 P += np.outer(features, features) / sigma2
-                assert p.J.tolist() == J.tolist()
-                assert p.P.tolist() == P.tolist()
+                p_P, p_J, _, _ = tbl_posterior(p)
+                assert p_J.tolist() == J.tolist()
+                assert p_P.tolist() == P.tolist()
 
 
 class TestThompsonQuadratic:
     def test_prior_posterior_values(self):
         p = ThompsonQuadraticPolicy(UNIT)
-        mu, sigma = p.posterior()
+        _, _, mu, sigma = tbl_posterior(p)
         assert mu == pytest.approx([0.0, 0.025, -0.01])
         assert sigma == pytest.approx(np.diag([0.5, 0.5, 0.2]))
 
@@ -239,10 +241,11 @@ class TestThompsonQuadratic:
     def test_single_update_arithmetic(self):
         p = ThompsonQuadraticPolicy(UNIT)
         p.update(0.0, 1.0)
-        assert p.J == pytest.approx([1.0, 0.05, -0.05])
+        p_P, p_J, _, _ = tbl_posterior(p)
+        assert p_J == pytest.approx([1.0, 0.05, -0.05])
         expected_P = np.diag([2.0, 2.0, 5.0])
         expected_P[0, 0] = 3.0
-        assert p.P == pytest.approx(expected_P)
+        assert p_P == pytest.approx(expected_P)
         assert p.t == 1
 
     def test_sequential_matches_batch_posterior(self):
@@ -256,7 +259,7 @@ class TestThompsonQuadratic:
         P = np.diag([2.0, 2.0, 5.0]) + X.T @ X / 0.7
         J = np.array([0.0, 0.05, -0.05]) + X.T @ r / 0.7
         sigma = np.linalg.inv(P)
-        mu, emp_sigma = p.posterior()
+        _, _, mu, emp_sigma = tbl_posterior(p)
         assert np.max(np.abs(mu - sigma @ J)) < 1e-10
         assert np.max(np.abs(emp_sigma - sigma)) < 1e-10
 
@@ -267,7 +270,7 @@ class TestThompsonQuadratic:
         p = ThompsonQuadraticPolicy(UNIT, clamp_vertex=False)
         for a in rng.uniform(0, 1, 30).tolist():
             p.update(a, -((a - 0.3) ** 2))
-            mu, _ = p.posterior()
+            mu = tbl_posterior(p)[2]
             assert p.propose(ZeroNormalRng()) == pytest.approx(-mu[1] / (2 * mu[2]), rel=1e-9)
 
     def test_factor_stores_nothing(self):
@@ -282,10 +285,12 @@ class TestThompsonQuadratic:
         rng = np.random.default_rng(9)
         p = ThompsonQuadraticPolicy(UNIT)
         xs = rng.normal(size=(5, 3))
-        prev = [x @ p.P @ x for x in xs]
+        P = tbl_posterior(p)[0]
+        prev = [x @ P @ x for x in xs]
         for _ in range(50):
             p.update(float(rng.uniform(0, 1)), float(rng.normal()))
-            now = [x @ p.P @ x for x in xs]
+            P = tbl_posterior(p)[0]
+            now = [x @ P @ x for x in xs]
             assert all(b >= a - 1e-12 for a, b in zip(prev, now))
             prev = now
 

@@ -44,38 +44,43 @@ def reference_replay_cab(policy, stream, cfg, rng):
             "delta >= range width: every in-range event will be accepted",
             stacklevel=2,
         )
-    trace = Trace()
+    indices, proposals, accepted = [], [], []
     actions = stream.actions.tolist()
     rewards = stream.rewards.tolist()
     for i, a in enumerate(actions):
         proposal = policy.propose(rng)
         if abs(a - proposal) < delta:
             policy.update(proposal, rewards[i])
-            trace.append(i, proposal, rewards[i])
-    return trace
+            indices.append(i)
+            proposals.append(proposal)
+            accepted.append(rewards[i])
+    return Trace(indices, proposals, accepted)
 
 
 def reference_replay_discrete(policy, stream, rng):
     """The per-event exact-match loop ``replay_discrete`` must reproduce."""
-    trace = Trace()
+    indices, proposals, accepted = [], [], []
     for i, (a, r) in enumerate(zip(stream.actions.tolist(), stream.rewards.tolist())):
         proposal = policy.propose(rng)
         if proposal == a:
             policy.update(a, r)
-            trace.append(i, proposal, r)
-    return trace
+            indices.append(i)
+            proposals.append(proposal)
+            accepted.append(r)
+    return Trace(indices, proposals, accepted)
 
 
 def reference_simulate_online(policy, model, horizon, proposal_rng, reward_rng):
     """The per-step loop ``simulate_online`` must reproduce: one ``propose``,
     ``sample`` and ``update`` per step."""
-    trace = Trace()
-    for t in range(horizon):
+    actions, rewards = [], []
+    for _ in range(horizon):
         action = policy.propose(proposal_rng)
         reward = float(model.sample(action, reward_rng))
         policy.update(action, reward)
-        trace.append(t, action, reward)
-    return trace
+        actions.append(action)
+        rewards.append(reward)
+    return Trace(list(range(horizon)), actions, rewards)
 
 
 def policy_state(policy):

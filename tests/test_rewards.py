@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cabeval.harness import ROLE_MODEL, derive_rng
 from cabeval.rewards import (
     ActionRange,
     BimodalQuarticModel,
@@ -162,6 +163,22 @@ class TestOptimum:
         assert UNIT.lo <= a_star <= UNIT.hi
         assert np.max(model.mean(grid)) <= r_star + 1e-4
         assert np.all(model.mean(grid) <= r_star + 1e-12)
+
+    @pytest.mark.parametrize("seed, rep", [(5, 159), (4, 829)])
+    def test_bimodal_optimum_is_exact_where_a_grid_scan_rounds_above(self, seed, rep):
+        # The only two draws, among seeds 0-9, 42, 2719, 5151 and 6161 with
+        # reps 0-999, where a 10,001-point grid scan beats both peaks, by rounding.
+        model = make_bimodal(derive_rng(seed, rep, ROLE_MODEL), UNIT, 0.01)
+        a_star, r_star = model.optimum()
+        assert a_star in (model.m1, model.m2)
+        assert r_star == model.mean(a_star)
+        assert 0 < np.max(model.mean(np.linspace(0, 1, 10_001))) - r_star <= 1e-15
+
+    def test_grid_scan_beats_bimodal_optimum_only_by_rounding(self):
+        grid = np.linspace(0, 1, 10_001)
+        for rep in range(200):
+            model = make_bimodal(derive_rng(42, rep, ROLE_MODEL), UNIT, 0.01)
+            assert np.max(model.mean(grid)) <= model.optimum()[1] + 1e-15
 
 
 class TestDerivativeCheck:
