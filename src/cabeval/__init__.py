@@ -15,7 +15,6 @@ from .policies import (
     EpsilonFirstPolicy,
     LockInFeedbackPolicy,
     Policy,
-    QuadraticCoefficients,
     ThompsonQuadraticPolicy,
     UniformRandomPolicy,
     argmax_quadratic,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .config import MODES, ConfigError, parse_config
 from .harness import run_experiment
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(config, workers=args.workers)
-    except (OSError, StreamFormatError) as exc:
+    except (OSError, StreamFormatError, BrokenExecutor) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote results to {config.out_dir}")

@@ -47,7 +47,7 @@ def _parse_bool(raw) -> bool:
 
 
 def _floats(raw: str) -> list[float]:
-    return [float(x) for x in raw.split(",")]
+    return [float(x) for x in _items(raw)]
 
 
 def _items(raw: str) -> list[str]:
@@ -93,7 +93,7 @@ _EXPERIMENT = {
     "stream": ("stream_path", str),
     "repetitions": ("repetitions", int),
     "horizon": ("horizon", int),
-    "deltas": ("deltas", lambda raw: tuple(map(float, _items(raw)))),
+    "deltas": ("deltas", lambda raw: tuple(_floats(raw))),
     "master_seed": ("master_seed", int),
     "t_eval": ("t_eval", int),
     "noise_var": ("noise_var", float),

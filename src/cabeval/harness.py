@@ -81,9 +81,7 @@ def simulate_online(
     per step; the trace's rewards are computed after the hook in one array
     call. A noise-free model draws nothing.
     """
-    # x + -0.0 is x for every float x, -0.0, inf and NaN included; +0.0
-    # would turn the -0.0 mean at a parabola's peak into +0.0.
-    noise = model.noise(reward_rng, horizon) if model.noise_var else np.full(horizon, -0.0)
+    noise = model.noise(reward_rng, horizon)
     mean, step_noise = model.mean, noise.tolist()
     indices, proposals = policy.replay(
         np.zeros(horizon), lambda i, p: mean(p) + step_noise[i], math.inf, proposal_rng
@@ -223,11 +221,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
                 f"t_eval={config.t_eval}; rank table may be all n/a",
                 stacklevel=2,
             )
-    # After the stream is read, so a run that fails on it leaves no directory.
-    os.makedirs(config.out_dir, exist_ok=True)
-
     sweep: list[float | None] = [None] if config.mode == "online" else list(config.deltas)
     curves, errors = _collect_repetitions(config, sweep, workers, stream)
+    # After the stream and the repetitions, so a run that fails on either
+    # leaves no directory.
+    os.makedirs(config.out_dir, exist_ok=True)
 
     metric = "reward" if config.mode == "ingest" else "regret"
     aggregates: dict[tuple[str, float | None], RunAggregate] = {}

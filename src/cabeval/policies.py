@@ -17,7 +17,6 @@ counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +31,8 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """A matrix required to be positive definite failed factorization."""
 
 
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    b0: float
-    b1: float
-    b2: float
-
-
-def least_squares_quadratic(history) -> QuadraticCoefficients:
-    """Fit r = b0 + b1*a + b2*a^2 by normal equations.
+def least_squares_quadratic(history) -> tuple[float, float, float]:
+    """Fit r = b0 + b1*a + b2*a^2 by normal equations; return (b0, b1, b2).
 
     Requires at least three distinct action values; raises
     RankDeficiencyError otherwise or when the normal matrix is
@@ -56,7 +48,7 @@ def least_squares_quadratic(history) -> QuadraticCoefficients:
     if np.linalg.cond(xtx) > 1e12:
         raise RankDeficiencyError("normal matrix numerically singular")
     b = np.linalg.solve(xtx, X.T @ rewards)
-    return QuadraticCoefficients(float(b[0]), float(b[1]), float(b[2]))
+    return float(b[0]), float(b[1]), float(b[2])
 
 
 def argmax_quadratic(b1: float, b2: float, action_range: ActionRange) -> float:
@@ -223,8 +215,8 @@ class EpsilonFirstPolicy(Policy):
             self.history.append((action, reward))
         super().update(action, reward)
         if self.t == self.explore_steps:
-            fitted = least_squares_quadratic(self.history)
-            self.exploit_action = argmax_quadratic(fitted.b1, fitted.b2, self.range)
+            _, b1, b2 = least_squares_quadratic(self.history)
+            self.exploit_action = argmax_quadratic(b1, b2, self.range)
 
     def replay(self, actions, reward, delta, rng):
         return _replay_explore_then_fix(

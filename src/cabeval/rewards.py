@@ -36,16 +36,16 @@ class _Surface:
 
     def noise(self, rng: np.random.Generator, size=None):
         """Reward noise: one float, or an array of ``size`` draws. One call
-        for n draws gives the values and the generator end state of n
-        scalar calls, so a run may draw its noise in one block."""
+        for n draws gives the values and the generator end state of n scalar
+        calls, so a run may draw its noise in one block. A noise-free surface
+        draws nothing and returns -0.0, since x + -0.0 == x for every float x."""
+        if not self.noise_var:
+            return -0.0 if size is None else np.full(size, -0.0)
         return rng.normal(0.0, math.sqrt(self.noise_var), size)
 
     def sample(self, a, rng: np.random.Generator):
         # Evaluation outside the range is deliberate: policies may propose there.
-        m = self.mean(a)
-        if self.noise_var == 0.0:
-            return m
-        return m + self.noise(rng, np.shape(a) or None)
+        return self.mean(a) + self.noise(rng, np.shape(a) or None)
 
 
 @dataclass(frozen=True)
@@ -154,18 +154,15 @@ def make_bimodal(
     m2 = float(rng.uniform(lo + 0.55 * w, hi - 0.05))
     m0 = float(rng.uniform(m1 + 0.05, m2 - 0.05))
 
-    quartic = np.polyint(np.poly([m1, m0, m2]))
-    probe = np.concatenate([np.linspace(lo, hi, 2001), [m1, m0, m2]])
-    values = np.polyval(quartic, probe)
-    span_unit = float(np.max(values) - np.min(values))
-
+    # The unit quartic Q has Q' = (x - m1)(x - m0)(x - m2), so its extremes
+    # over the range lie among these five points.
+    q_lo, q1, q0, q2, q_hi = np.polyval(
+        np.polyint(np.poly([m1, m0, m2])), [lo, m1, m0, m2, hi]
+    ).tolist()
     span = float(rng.uniform(0.5, 1.0))
-    k = -span / span_unit
+    k = -span / (max(q_lo, q1, q0, q2, q_hi) - min(q_lo, q1, q0, q2, q_hi))
     # With k < 0 the higher peak of the mean sits at the smaller of Q(m1), Q(m2).
-    q_top = min(
-        float(np.polyval(quartic, m1) - np.polyval(quartic, lo)),
-        float(np.polyval(quartic, m2) - np.polyval(quartic, lo)),
-    )
+    q_top = min(q1, q2) - q_lo
     peak_height = float(rng.uniform(0.5, 1.0))
     c = peak_height - k * q_top
     return BimodalQuarticModel(

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,13 @@ BAD_EXPERIMENT_VALUES = [
 ]
 
 
+def tbl_prior(config):
+    """(P, J) of the config's TBL policy, as lists."""
+    (spec,) = [s for s in config.policies if s.name == "TBL"]
+    P, J, _, _ = tbl_posterior(make_policy(spec, config.action_range, config.mode, None))
+    return P.tolist(), J.tolist()
+
+
 def bad_policy_config(tmp_path, policy, line):
     return write_config(
         tmp_path,
@@ -244,6 +252,27 @@ class TestParseConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.ini"))
+
+    # Every list value drops empty entries; j0 and p0_diag used to reject
+    # a trailing comma that deltas and policies accepted.
+    @pytest.mark.parametrize(
+        "line, parsed",
+        [
+            ("deltas = 0.1, 0.2,", lambda c: c.deltas == (0.1, 0.2)),
+            ("policies = UR, TBL,", lambda c: [s.name for s in c.policies] == ["UR", "TBL"]),
+            ("[policy.TBL]\nj0 = 0, 0.05, -0.05,", lambda c: tbl_prior(c)[1] == [0, 0.05, -0.05]),
+            (
+                "[policy.TBL]\np0_diag = 2, 2, 5,",
+                lambda c: tbl_prior(c)[0] == np.diag([2, 2, 5]).tolist(),
+            ),
+        ],
+        ids=["deltas", "policies", "j0", "p0_diag"],
+    )
+    def test_list_value_takes_trailing_comma(self, tmp_path, capsys, line, parsed):
+        path = write_config(tmp_path, f"[experiment]\nfamily = parabola\n{line}\n")
+        assert parsed(parse_config(path))
+        assert cli_main(["validate", "--config", path]) == 0
+        assert ": ok (" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "body, match",
@@ -591,6 +620,16 @@ class TestRunExperiment:
         assert sizes == ([] if pool_size is None else [pool_size])
         assert result.manifest["accepted_counts"] == {"UR": [20] * repetitions}
 
+    def test_failed_collection_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(harness, "_collect_repetitions", broken)
+        out = tmp_path / "o"
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(parse_config(write_config(tmp_path, ONLINE_SMALL.format(out=out))))
+        assert not out.exists()
+
     def test_import_leaves_process_pool_unloaded(self):
         # Only a run that starts a pool needs it and the multiprocessing it loads.
         probe = run_python(
@@ -792,6 +831,18 @@ class TestCli:
         assert cli_main(["run", "--config", config_path, "--out", ""]) == 2
         assert "config error: out must name an output directory" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_broken_pool_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A worker killed mid-run used to end the CLI in a traceback.
+        def broken(config, workers):
+            raise BrokenProcessPool("a process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr("cabeval.cli.run_experiment", broken)
+        config_path = write_config(tmp_path, ONLINE_SMALL.format(out=tmp_path / "o"))
+        assert cli_main(["run", "--config", config_path, "--workers", "2"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "run error: a process in the process pool was terminated abruptly"
+        ]
 
     @pytest.mark.parametrize("mode", ["online", "offline"])
     def test_run_t_eval_beyond_horizon_exit_2(self, tmp_path, capsys, mode):

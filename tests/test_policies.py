@@ -34,10 +34,10 @@ class ZeroNormalRng:
 class TestLeastSquares:
     def test_exact_interpolation(self):
         pts = [(a, 1 + 2 * a - 3 * a**2) for a in (0.0, 0.5, 1.0)]
-        fit = least_squares_quadratic(pts)
-        assert fit.b0 == pytest.approx(1.0, abs=1e-9)
-        assert fit.b1 == pytest.approx(2.0, abs=1e-9)
-        assert fit.b2 == pytest.approx(-3.0, abs=1e-9)
+        b0, b1, b2 = least_squares_quadratic(pts)
+        assert b0 == pytest.approx(1.0, abs=1e-9)
+        assert b1 == pytest.approx(2.0, abs=1e-9)
+        assert b2 == pytest.approx(-3.0, abs=1e-9)
 
     def test_two_points_rank_deficient(self):
         with pytest.raises(RankDeficiencyError):
@@ -51,15 +51,15 @@ class TestLeastSquares:
         rng = np.random.default_rng(42)
         a = rng.uniform(0, 1, 1000)
         r = 0.4 - 1.3 * a + 0.8 * a**2 + rng.normal(0, 0.1, 1000)
-        fit = least_squares_quadratic(list(zip(a, r)))
+        b0, b1, b2 = least_squares_quadratic(list(zip(a, r)))
         # Oracle: moment sums plus an explicit 3x3 solve.
         s = [np.sum(a**p) for p in range(5)]
         M = np.array([[s[0], s[1], s[2]], [s[1], s[2], s[3]], [s[2], s[3], s[4]]])
         v = np.array([np.sum(r), np.sum(r * a), np.sum(r * a**2)])
         b = np.linalg.solve(M, v)
-        assert fit.b0 == pytest.approx(b[0], abs=1e-8)
-        assert fit.b1 == pytest.approx(b[1], abs=1e-8)
-        assert fit.b2 == pytest.approx(b[2], abs=1e-8)
+        assert b0 == pytest.approx(b[0], abs=1e-8)
+        assert b1 == pytest.approx(b[1], abs=1e-8)
+        assert b2 == pytest.approx(b[2], abs=1e-8)
 
 
 class TestArgmaxQuadratic:
@@ -92,10 +92,10 @@ class TestArgmaxQuadratic:
         rng = np.random.default_rng(8)
         a = rng.uniform(0, 1, 200)
         r = -((a - 0.4) ** 2) + rng.normal(0, 0.05, 200)
-        fit = least_squares_quadratic(list(zip(a, r)))
-        best = argmax_quadratic(fit.b1, fit.b2, UNIT)
+        _, b1, b2 = least_squares_quadratic(list(zip(a, r)))
+        best = argmax_quadratic(b1, b2, UNIT)
         assert 0.0 < best < 1.0
-        assert abs(fit.b1 + 2 * fit.b2 * best) < 1e-9
+        assert abs(b1 + 2 * b2 * best) < 1e-9
 
 
 class TestSampleMvn:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ class SequenceRng:
         v = self.values.pop(0)
         assert lo <= v <= hi, f"forced value {v} outside [{lo}, {hi}]"
         return v
+
+
+def unit_quartic(model, x):
+    """Q(x), the quartic with Q' = (x - m1)(x - m0)(x - m2) and no constant."""
+    return np.polyval(np.polyint(np.poly([model.m1, model.m0, model.m2])), x)
 
 
 def fd_derivative(f, x, h=1e-6):
@@ -143,6 +150,27 @@ class TestBimodal:
         assert model.mean(model.m0) < model.mean(model.m1)
         assert model.mean(model.m0) < model.mean(model.m2)
 
+    def test_span_read_at_the_five_stationary_and_end_points(self):
+        # The one draw, among seeds 0-9, 17, 42, 5151, 6161 and 8317 with
+        # reps 0-999, where a 2,001-point grid of Q rounds below its true
+        # minimum (by 1.04e-17), so a grid scan gives another k.
+        model = make_bimodal(derive_rng(5151, 474, ROLE_MODEL), UNIT, 0.01)
+        rng = derive_rng(5151, 474, ROLE_MODEL)
+        rng.uniform(size=3)  # m1, m2 and m0
+        span = rng.uniform(0.5, 1.0)
+        q = unit_quartic(model, [UNIT.lo, model.m1, model.m0, model.m2, UNIT.hi])
+        assert model.k == -span / (q.max() - q.min())
+        assert unit_quartic(model, np.linspace(UNIT.lo, UNIT.hi, 2001)).min() < q.min()
+
+    def test_no_grid_point_outside_the_five_point_span(self):
+        grid = np.linspace(UNIT.lo, UNIT.hi, 2001)
+        for rep in range(375, 575):
+            model = make_bimodal(derive_rng(5151, rep, ROLE_MODEL), UNIT, 0.01)
+            q = unit_quartic(model, [UNIT.lo, model.m1, model.m0, model.m2, UNIT.hi])
+            values = unit_quartic(model, grid)
+            assert values.min() >= q.min() - 1e-15
+            assert values.max() <= q.max() + 1e-15
+
     def test_thousand_consecutive_seeds_valid(self):
         for seed in range(1000):
             model = make_bimodal(np.random.default_rng(seed), UNIT, 0.01)
@@ -199,6 +227,18 @@ class TestDerivativeCheck:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("family", ["parabola", "bimodal"])
+    def test_noise_free_surface_draws_nothing_and_gives_negative_zero(self, family):
+        # x + -0.0 is x for every float; +0.0 would turn a -0.0 mean into +0.0.
+        model = make_model(family, np.random.default_rng(0), UNIT, 0.0)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        scalar = model.noise(rng)
+        assert scalar == 0.0 and math.copysign(1.0, scalar) == -1.0
+        block = model.noise(rng, 5)
+        assert block.shape == (5,) and np.all(block == 0.0) and np.all(np.signbit(block))
+        assert rng.bit_generator.state == state
+
     def test_zero_noise_is_exact(self):
         model = ParabolaModel(peak=0.5, scale=1.0, noise_var=0.0, range=UNIT)
         rng = np.random.default_rng(0)
