@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -38,12 +39,10 @@ INGEST_EXPLORE_STEPS = 100
 
 
 def _parse_bool(raw) -> bool:
-    lowered = str(raw).strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(raw).strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
 def _floats(raw: str) -> list[float]:
@@ -174,6 +173,9 @@ class ExperimentConfig:
         names = [spec.name for spec in self.policies]
         if len(set(names)) < len(names):
             raise ConfigError(f"policy names must not repeat, got {', '.join(names)}")
+        # A policy seeds its runs by the key zlib.crc32(name).
+        if len({zlib.crc32(name.encode()) for name in names}) < len(names):
+            raise ConfigError(f"policy names must not share a CRC32 seed key, got {', '.join(names)}")
         # A policy's name is part of its aggregate CSV's file name.
         for name in names:
             if any(ch and ch in name for ch in (os.sep, os.altsep, "\0")):
@@ -241,22 +243,15 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    specs = []
-    seen_sections = {"experiment"}
-    for name in kwargs.get("policies", [s.name for s in ExperimentConfig.policies]):
-        section_name = f"policy.{name}"
-        params: dict = {}
-        kind = name
-        if section_name in sections:
-            seen_sections.add(section_name)
-            params = dict(parser[section_name])
-            kind = params.pop("kind", name)
-        specs.append(PolicySpec(name=name, kind=kind, params=params))
-    kwargs["policies"] = tuple(specs)
-
-    stray = sections - seen_sections
+    names = kwargs.get("policies", [spec.name for spec in ExperimentConfig.policies])
+    stray = sections - {"experiment", *(f"policy.{name}" for name in names)}
     if stray:
         raise ConfigError(f"unknown section(s): {sorted(stray)}")
+    specs = []
+    for name in names:
+        params = dict(parser[f"policy.{name}"]) if f"policy.{name}" in sections else {}
+        specs.append(PolicySpec(name, params.pop("kind", name), params))
+    kwargs["policies"] = tuple(specs)
 
     return ExperimentConfig(**kwargs)
 

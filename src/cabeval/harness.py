@@ -59,7 +59,7 @@ def derive_rng(
     policy_name: str = "",
     delta: float = 0.0,
 ) -> np.random.Generator:
-    policy_key = zlib.crc32(policy_name.encode()) if policy_name else 0
+    policy_key = zlib.crc32(policy_name.encode())
     delta_key = int(round(delta * 1e9))
     seq = np.random.SeedSequence(
         master_seed, spawn_key=(repetition, role, policy_key, delta_key)
@@ -104,8 +104,8 @@ def _repetition(
     config: ExperimentConfig, sweep: list, stream: LoggedStream | None, rep: int
 ):
     """One repetition: a fresh policy per (delta, policy) of the sweep,
-    played online (delta None) or replayed over the log. Each curve is
-    keyed by (policy, delta, repetition).
+    played online (delta None) or replayed over the log. Each curve, and
+    each failure's (type name, message), is keyed by (policy, delta, repetition).
 
     Online and offline repetitions draw a fresh model, and offline ones a
     fresh log from it. Ingest replays the loaded log; its surface is
@@ -124,8 +124,7 @@ def _repetition(
         stream = generate_logged_stream(
             model, config.horizon, derive_rng(seed, rep, ROLE_STREAM)
         )
-    curves = {}
-    errors = []
+    curves, errors = {}, {}
     for delta in sweep:
         seed_delta = delta or 0.0  # online runs are seeded as delta 0
         for spec in config.policies:
@@ -155,15 +154,7 @@ def _repetition(
                     else cumulative_regret(trace, model, config.realized_regret)
                 )
             except Exception as exc:  # noqa: BLE001 - batch runs must survive one bad fit
-                error = {
-                    "repetition": rep,
-                    "policy": spec.name,
-                    "type": type(exc).__name__,
-                    "error": str(exc),
-                }
-                if delta is not None:
-                    error["delta"] = delta
-                errors.append(error)
+                errors[spec.name, delta, rep] = (type(exc).__name__, str(exc))
     return curves, errors
 
 
@@ -184,10 +175,10 @@ def _collect_repetitions(config: ExperimentConfig, sweep: list, workers: int, st
     else:
         results = map(run, reps)
     curves: dict[tuple[str, float | None, int], np.ndarray] = {}
-    errors: list = []
+    errors: dict[tuple[str, float | None, int], tuple[str, str]] = {}
     for rep_curves, rep_errors in results:
         curves.update(rep_curves)
-        errors.extend(rep_errors)
+        errors.update(rep_errors)
     return curves, errors
 
 
@@ -262,7 +253,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     manifest = {
         "config": config.echo(),
         "accepted_counts": accepted_counts,
-        "errors": errors,
+        "errors": [
+            {"repetition": rep, "policy": name, "type": kind, "error": message}
+            | ({} if delta is None else {"delta": delta})
+            for (name, delta, rep), (kind, message) in errors.items()
+        ],
         "metric": metric,
     }
     with open(os.path.join(config.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -301,15 +301,46 @@ class TestParseConfig:
                 "[experiment]\nmode = offline\nfamily = parabola\ndeltas = 1.5e-9, 2e-9\n",
                 r"deltas must not share a nano-unit seed key, got \(1\.5e-09, 2e-09\)",
             ),
+            # validate printed ok, and both policies ran on one seed key, CRC32
+            # 0x4ddb0c25, so their aggregate CSVs were byte-identical
+            (
+                "[experiment]\nmode = online\nfamily = parabola\npolicies = plumless, buckeroo\n\n"
+                "[policy.plumless]\nkind = UR\n\n[policy.buckeroo]\nkind = UR\n",
+                "policy names must not share a CRC32 seed key, got plumless, buckeroo",
+            ),
         ],
         ids=[
             "unknown-family", "no-experiment", "unknown-kind", "empty-out", "slash-in-name",
-            "shared-seed-key",
+            "shared-seed-key", "shared-crc32-name",
         ],
     )
     def test_rejected_config_names_the_fault(self, tmp_path, body, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_config(tmp_path, body))
+
+    # The eight spellings configparser reads as booleans, in any case and
+    # with padding; anything else is a parse error.
+    @pytest.mark.parametrize(
+        "raw, value",
+        [
+            ("1", True), ("yes", True), ("true", True), ("on", True),
+            ("0", False), ("no", False), ("false", False), ("off", False),
+            ("maybe", None),
+        ],
+    )
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        path = write_config(
+            tmp_path, f"[experiment]\nfamily = parabola\nrealized_regret = {raw.upper()}\n"
+        )
+        spec = PolicySpec("TBL", "TBL", {"clamp_vertex": f" {raw.upper()}\t"})
+        if value is None:
+            with pytest.raises(ConfigError, match="realized_regret: cannot parse 'MAYBE'"):
+                parse_config(path)
+            with pytest.raises(ConfigError, match=r"clamp_vertex: cannot parse ' MAYBE\\t'"):
+                make_policy(spec, UNIT, "online", None)
+        else:
+            assert parse_config(path).realized_regret is value
+            assert make_policy(spec, UNIT, "online", None).clamp_vertex is value
 
     def test_delta_bound_set_by_seed_key(self, tmp_path):
         body = "[experiment]\nmode = offline\nfamily = parabola\ndeltas = {}\n"
@@ -575,9 +606,7 @@ class TestRunExperiment:
     def test_failed_repetition_keeps_others_indexed(self, tmp_path):
         config = parse_config(write_config(tmp_path, LIF_FAILS.format(out=tmp_path / "r")))
         curves, errors = harness._collect_repetitions(config, [None], 1, None)
-        assert [(e["policy"], e["repetition"]) for e in errors] == [
-            ("LiF", rep) for rep in (1, 3, 4, 5, 7)
-        ]
+        assert [(name, rep) for name, _, rep in errors] == [("LiF", rep) for rep in (1, 3, 4, 5, 7)]
         assert {key for key in curves if key[0] == "LiF"} == {
             ("LiF", None, rep) for rep in (0, 2, 6)
         }
@@ -692,7 +721,8 @@ class TestRunExperiment:
         out = tmp_path / "r"
         # EF with explore_steps=3 fits its quadratic on three explored
         # actions; on a 0.001-wide range their normal matrix is numerically
-        # singular, so the fit raises in repetitions that reach it.
+        # singular, so the fit raises in repetitions that reach it: all 30
+        # at delta 0.0005, and 11 at delta 0.0002.
         config = parse_config(
             write_config(
                 tmp_path,
@@ -701,7 +731,7 @@ class TestRunExperiment:
                 "family = parabola\n"
                 "repetitions = 30\n"
                 "horizon = 6\n"
-                "deltas = 0.0005\n"
+                "deltas = 0.0005, 0.0002\n"
                 "t_eval = 1\n"
                 "master_seed = 1\n"
                 "range_lo = 0.0\n"
@@ -713,11 +743,20 @@ class TestRunExperiment:
         )
         result = run_experiment(config)
         # The run as a whole completes and writes artifacts either way.
-        assert (out / "manifest.json").exists()
-        assert result.manifest["errors"]
-        for err in result.manifest["errors"]:
-            assert err["policy"] == "EF"
-            assert err["type"] == "RankDeficiencyError"
+        manifest = json.loads((out / "manifest.json").read_text())
+        # In (repetition, delta, policy) order, each entry with its delta.
+        assert manifest["errors"] == result.manifest["errors"] == [
+            {
+                "repetition": rep,
+                "delta": delta,
+                "policy": "EF",
+                "type": "RankDeficiencyError",
+                "error": "normal matrix numerically singular",
+            }
+            for rep in range(30)
+            for delta in (0.0005, 0.0002)
+            if delta == 0.0005 or rep in (1, 3, 4, 11, 14, 18, 19, 22, 24, 25, 27)
+        ]
         assert len(result.manifest["accepted_counts"]["UR@delta=0.0005"]) == 30
 
     def test_online_error_entry_names_type(self, tmp_path):
