@@ -23,8 +23,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute an experiment from a config file")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--mode", choices=MODES)
-    run_p.add_argument("--seed", type=int, help="override master_seed")
-    run_p.add_argument("--out", help="override output directory")
+    run_p.add_argument(
+        "--seed", type=int, dest="master_seed", metavar="SEED", help="override master_seed"
+    )
+    run_p.add_argument("--out", dest="out_dir", metavar="OUT", help="override output directory")
     run_p.add_argument("--workers", type=int, default=1)
 
     val_p = sub.add_parser("validate", help="check a config file and exit")
@@ -56,8 +58,14 @@ def main(argv=None) -> int:
         print(f"run error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
         return 2
 
+    # The run flags that override a config field are stored under its name.
+    overrides = {
+        name: value
+        for name in ("mode", "master_seed", "out_dir")
+        if (value := getattr(args, name, None)) is not None
+    }
     try:
-        config = parse_config(args.config)
+        config = dataclasses.replace(parse_config(args.config), **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -65,20 +73,6 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"{args.config}: ok ({config.mode} mode, {len(config.policies)} policies)")
         return 0
-
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
 
     try:
         result = run_experiment(config, workers=args.workers)

@@ -35,10 +35,10 @@ from .replay import (
     LoggedStream,
     ReplayConfig,
     Trace,
-    acceptance_probability,
     generate_logged_stream,
     load_stream,
     replay_cab,
+    required_log_length,
 )
 from .rewards import RewardModel, make_model
 
@@ -200,16 +200,25 @@ def _write_aggregate_csv(path, agg: RunAggregate) -> None:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Execute the configured experiment and write all artifacts to out_dir."""
+    # The nearest existing ancestor of out_dir must be a directory, or
+    # os.makedirs would fail only after every repetition had run.
+    existing = os.path.abspath(config.out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(f"output path {config.out_dir!r}: {existing!r} is not a directory")
     stream = None
     if config.mode == "ingest":
         stream = load_stream(config.stream_path, config.action_range)
-        expected_T = acceptance_probability(
-            min(config.deltas), config.action_range
-        ) * len(stream)
-        if expected_T < config.t_eval:
+        try:
+            needed = required_log_length(config.t_eval, min(config.deltas), config.action_range)
+        except ValueError:  # a length beyond the float range
+            needed = math.inf
+        if len(stream) < needed:
             warnings.warn(
-                f"expected accepted count {expected_T:.0f} is below "
-                f"t_eval={config.t_eval}; rank table may be all n/a",
+                f"log of {len(stream)} events is shorter than the {needed} needed for "
+                f"t_eval={config.t_eval} at delta={min(config.deltas):g}; "
+                "rank table may be all n/a",
                 stacklevel=2,
             )
     sweep: list[float | None] = [None] if config.mode == "online" else list(config.deltas)

@@ -36,7 +36,7 @@ def cumulative_regret(
 
 
 def cumulative_reward(trace: Trace) -> np.ndarray:
-    """Running sum of recorded rewards; final element equals trace.R_c."""
+    """Running sum of recorded rewards."""
     return np.cumsum(np.asarray(trace.rewards))
 
 

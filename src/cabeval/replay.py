@@ -67,10 +67,6 @@ class Trace:
     def T(self) -> int:
         return len(self.rewards)
 
-    @property
-    def R_c(self) -> float:
-        return sum(self.rewards)
-
 
 def generate_logged_stream(
     model: RewardModel, length: int, rng: np.random.Generator

@@ -292,7 +292,7 @@ def test_criterion_08_tolerance_bias_direction():
             trace = replay_cab(
                 ConstantPolicy(UNIT, 0.5), stream, ReplayConfig(delta), rng
             )
-            per_run.append(trace.R_c / trace.T)
+            per_run.append(sum(trace.rewards) / trace.T)
         means[delta] = float(np.mean(per_run))
     ok = (
         means[0.2] < 0.0

@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -717,6 +719,34 @@ class TestRunExperiment:
         with pytest.warns(UserWarning, match="t_eval"):
             run_experiment(config)
 
+        # The warning and `cabeval sizing --t-prime 400 --delta 0.15
+        # --range 0 3` (which prints 4000) give one answer: 4,000 events
+        # used to warn that their expected 400 accepts were below 400.
+        wide = ActionRange(0.0, 3.0)
+        model = ParabolaModel(peak=1.5, scale=1.0, noise_var=0.01, range=wide)
+
+        def run_on(length, delta):
+            path = tmp_path / f"stream{length}.csv"
+            save_stream(generate_logged_stream(model, length, np.random.default_rng(3)), path)
+            return run_experiment(replace(
+                config, stream_path=str(path), out_dir=str(tmp_path / f"r{length}"),
+                action_range=wide, deltas=(delta,), t_eval=400,
+            ))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_on(4000, 0.15)
+        with pytest.warns(UserWarning, match=r"log of 3999 events .* 4000 needed"):
+            run_on(3999, 0.15)
+        # Its needed length overflows a float, which warns rather than raises.
+        with pytest.warns(UserWarning, match="t_eval=400"):
+            run_on(100, 1e-320)
+        assert set(read_all(tmp_path / "r100")) == {
+            f"aggregate_ingest_UR_delta{1e-320:g}.csv",
+            f"rank_ingest_delta{1e-320:g}.csv",
+            "manifest.json",
+        }
+
     def test_failed_repetition_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "r"
         # EF with explore_steps=3 fits its quadratic on three explored
@@ -870,6 +900,20 @@ class TestCli:
         assert cli_main(["run", "--config", config_path, "--out", ""]) == 2
         assert "config error: out must name an output directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["results", "results/sub", "results/sub/deeper"])
+    def test_run_out_under_file_exit_2(self, tmp_path, capsys, monkeypatch, out):
+        # An out that is a file, or lies under one, used to fail only after
+        # every repetition had run.
+        ran = []
+        monkeypatch.setattr(harness, "_repetition", lambda *args: ran.append(args) or ({}, {}))
+        (tmp_path / "results").write_text("")
+        config_path = write_config(tmp_path, ONLINE_SMALL.format(out=tmp_path / out))
+        assert cli_main(["run", "--config", config_path]) == 2
+        assert ran == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("run error: ") and "is not a directory" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "results"]
 
     def test_run_broken_pool_exit_2(self, tmp_path, capsys, monkeypatch):
         # A worker killed mid-run used to end the CLI in a traceback.

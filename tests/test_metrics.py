@@ -45,7 +45,7 @@ class TestCumulativeCurves:
         trace = make_trace([0.1, 0.2, 0.3], [1.0, -0.5, 2.0])
         out = cumulative_reward(trace)
         assert out == pytest.approx([1.0, 0.5, 2.5])
-        assert out[-1] == trace.R_c
+        assert out[-1] == sum(trace.rewards)
 
     def test_empty_trace_gives_empty_curves(self):
         trace = Trace([], [], [])

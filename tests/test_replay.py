@@ -250,14 +250,14 @@ class TestReplayDiscrete:
         stream = make_stream([1, 2, 1], [1.0, 0.0, 1.0])
         trace = replay_discrete(ConstantPolicy(UNIT, 1.0), stream)
         assert trace.T == 2
-        assert trace.R_c == 2.0
+        assert sum(trace.rewards) == 2.0
         assert trace.stream_indices == [0, 2]
 
     def test_unmatched_arm_accepts_nothing(self):
         stream = make_stream([1, 2, 1], [1.0, 0.0, 1.0])
         trace = replay_discrete(ConstantPolicy(UNIT, 3.0), stream)
         assert trace.T == 0
-        assert trace.R_c == 0.0
+        assert sum(trace.rewards) == 0.0
 
     def test_expected_count_quarter_of_stream(self):
         rng = np.random.default_rng(5)
@@ -310,7 +310,7 @@ class TestReplayCab:
         policy = ConstantPolicy(UNIT, 0.5)
         trace = replay_cab(policy, stream, ReplayConfig(0.1), np.random.default_rng(0))
         assert trace.T == 1
-        assert trace.R_c == 1.0
+        assert sum(trace.rewards) == 1.0
         assert trace.proposals == [0.5]  # recorded action is the proposal
         assert policy.t == 1
 
@@ -413,7 +413,6 @@ class TestReplayCab:
         stream = generate_logged_stream(PARABOLA, 1000, rng)
         trace = replay_cab(UniformRandomPolicy(UNIT), stream, ReplayConfig(0.1), rng)
         assert trace.T == len(trace.stream_indices) == len(trace.proposals)
-        assert trace.R_c == sum(trace.rewards)
         assert trace.stream_indices == sorted(set(trace.stream_indices))
 
 
